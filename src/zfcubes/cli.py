@@ -2,10 +2,11 @@
 
 Exit codes are a stable contract: 0 for a passing run, 1 for a mathematical
 failure (set does not force, arcs do not execute, a chain twist exists, a
-solve stayed inconclusive), 2 for usage, parse, or domain errors. Every
-invocation writes one machine-readable manifest line to stderr; stdout
-carries only the requested payload and is byte-identical across identical
-invocations.
+solve stayed inconclusive), 2 for usage, parse, or domain errors, and for a
+run cut short by recursion depth, memory or an interrupt; the manifest then
+names the exception class as ``error_type``. Every invocation writes one
+machine-readable manifest line to stderr; stdout carries only the requested
+payload and is byte-identical across identical invocations.
 """
 
 from __future__ import annotations
@@ -265,8 +266,10 @@ def main(argv=None) -> int:
         return code
     try:
         code = args.handler(args)
-    except (DocumentError, MatchingError, ResourceLimitError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (DocumentError, MatchingError, ResourceLimitError, ValueError,
+            RecursionError, MemoryError, KeyboardInterrupt) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        _manifest["error_type"] = type(exc).__name__
         code = 2
     _write_manifest({0: "ok", 1: "fail"}.get(code, "error"), started)
     return code

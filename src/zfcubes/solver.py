@@ -1,19 +1,30 @@
-"""Exact zero forcing number by ordered subset enumeration.
+"""Exact zero forcing number: a wavefront search, and a literal exhaustion.
 
-Candidate sets of each size are visited in lexicographic order over vertex
-ids, so the first success is the lexicographically least witness and the run
-is reproducible. The closure of a partial subset is carried down the
-enumeration tree and extended one vertex at a time, which is sound because
-closure is monotone and idempotent. An optional prune discards a subtree as
-soon as the closure of the partial subset together with *all* still-eligible
-vertices fails to fill the graph; by monotonicity no completion inside that
-subtree can succeed, so pruned runs return the same answer as unpruned ones.
+The default engine (``prune=True``) is the wavefront of Butler and Grout
+from the Sage minimum-rank library, surveyed in Brimkov, Fast and Hicks,
+"Computational approaches for zero forcing and related problems" (EJOR
+2019). It is a Dijkstra search whose states are *closed* blue sets. From a
+closed set S, a move picks a vertex v, colours v and all but one of its white
+neighbours, and lets v force the last one. That adds |N[v] \\ S| - 1 vertices,
+or 1 when v is white and has no white neighbour, and leads to the closure of
+S | N[v]. Every move costs at least one vertex, so the states are expanded
+from a bucket queue in cost order, and the first bucket that holds the full
+vertex set is the zero forcing number. A cheapest path costs exactly Z: its
+added vertices form a forcing set, and replaying the forces of a minimum
+forcing set in order gives a path that costs no more.
+
+The certificate mode (``prune=False``) enumerates candidate sets of each
+size in lexicographic order over vertex ids and closure-tests every one, so
+every smaller size is literally exhausted. The closure of a partial subset is
+carried down the enumeration and extended one vertex at a time, which is
+sound because closure is monotone and idempotent. The wavefront runs one
+level of this enumeration at k = z to return the same witness: the
+lexicographically least forcing set of size z.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,9 +39,12 @@ DEFAULT_VERTEX_LIMIT = 32
 class SolveResult:
     """Outcome of an exact search.
 
-    ``status`` is ``"exact"`` when every smaller size was exhausted and a
-    witness found, ``"inconclusive"`` when a budget ran out first; ``bounds``
-    always brackets the true zero forcing number.
+    ``status`` is ``"exact"`` when Z is certified and a witness found,
+    ``"inconclusive"`` when a budget or ``max_k`` stopped the search first;
+    ``bounds`` always brackets the true zero forcing number.
+    ``subsets_tested`` counts closure evaluations: in the wavefront, one per
+    successor state plus one per subset of the witness level; in the
+    certificate mode, one per subset.
     """
 
     z: Optional[int]
@@ -108,51 +122,96 @@ def _extend_closure(masks, blue: int, new_vertex: int, full: int) -> int:
     return blue
 
 
-def _search_first(masks, full: int, k: int, first: int, prune: bool,
+def _wavefront(masks, full: int, limit: int, deadline: Optional[float],
+               cap: Optional[int]):
+    """Cheapest cost, at most ``limit``, of a path from the empty set to the
+    full mask.
+
+    Returns (z or None, lower, upper, closures evaluated). Without z,
+    ``lower`` is proven: every state cheaper than it was expanded, or the
+    buckets up to ``limit`` ran dry. ``upper`` is the cost of the full mask
+    if a budget stopped the search after reaching it, else None.
+    """
+    n = len(masks)
+    closed = tuple(masks[v] | (1 << v) for v in range(n))
+    best = {0: 0}
+    buckets = [[] for _ in range(max(limit, 0) + 1)]
+    buckets[0].append(0)
+    tested = 0
+    cost = 0
+    while cost <= limit:
+        if best.get(full) == cost:
+            return cost, cost, cost, tested
+        # a move costs at least one, so the bucket at the limit has no
+        # successor within it
+        for blue in buckets[cost] if cost < limit else ():
+            if best[blue] != cost:
+                continue  # reached more cheaply after it was queued
+            white = full ^ blue
+            for v in range(n):
+                added = closed[v] & white
+                if not added:
+                    continue
+                reach = cost + (added.bit_count() - 1 or 1)
+                if reach > limit:
+                    continue
+                if cap is not None and tested >= cap:
+                    return None, cost + 1, best.get(full), tested
+                tested += 1
+                if deadline is not None and tested % 512 == 0 and time.time() > deadline:
+                    return None, cost + 1, best.get(full), tested
+                succ = _close_mask(masks, blue | added, full)
+                if succ == full:
+                    # no state at or past this cost can beat the path found
+                    limit = reach
+                elif reach == limit:
+                    continue  # only the full set matters at the limit
+                if best.get(succ, reach + 1) > reach:
+                    best[succ] = reach
+                    buckets[reach].append(succ)
+        buckets[cost] = ()
+        cost += 1
+    return None, limit + 1, None, tested
+
+
+def _search_first(masks, full: int, k: int, first: int,
                   deadline: Optional[float], cap: Optional[int]):
-    """Enumerate k-subsets whose smallest element is ``first``.
+    """Enumerate k-subsets whose smallest element is ``first``, in
+    lexicographic order.
 
     Returns (witness ids or None, leaves tested, aborted flag).
     """
     n = len(masks)
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | (1 << i)
-    tested = 0
-    aborted = False
-    witness: Optional[list[int]] = None
-    chosen = [first]
     base = _close_mask(masks, 1 << first, full)
-
-    def rec(start: int, derived: int, slots: int) -> bool:
-        nonlocal tested, aborted, witness
-        if slots == 0:
-            if cap is not None and tested >= cap:
-                aborted = True
-                return True
-            tested += 1
-            if derived == full:
-                witness = list(chosen)
-                return True
-            if deadline is not None and tested % 512 == 0 and time.time() > deadline:
-                aborted = True
-                return True
-            return False
-        if n - start < slots:
-            return False
-        if prune and _close_mask(masks, derived | suffix[start], full) != full:
-            return False
-        for x in range(start, n - slots + 1):
-            chosen.append(x)
-            stop = rec(x + 1, _extend_closure(masks, derived, x, full), slots - 1)
-            if not stop:
-                chosen.pop()
-            if stop:
-                return True
-        return False
-
-    rec(first + 1, base, k - 1)
-    return witness, tested, aborted
+    if k == 1:
+        if cap is not None and cap <= 0:
+            return None, 0, True
+        return ([first] if base == full else None), 1, False
+    tested = 0
+    chosen = [first]
+    stack = [base]  # stack[i] is the closure of chosen[:i + 1]
+    x = first + 1   # candidate for the next position
+    while True:
+        slots = k - len(chosen)
+        if x <= n - slots:
+            blue = _extend_closure(masks, stack[-1], x, full)
+            if slots == 1:
+                if cap is not None and tested >= cap:
+                    return None, tested, True
+                tested += 1
+                if blue == full:
+                    return chosen + [x], tested, False
+                if deadline is not None and tested % 512 == 0 and time.time() > deadline:
+                    return None, tested, True
+            else:
+                chosen.append(x)
+                stack.append(blue)
+            x += 1
+        elif len(chosen) == 1:
+            return None, tested, False
+        else:
+            x = chosen.pop() + 1
+            stack.pop()
 
 
 def _search_first_packed(args):
@@ -163,19 +222,28 @@ def solve_exact(graph: Graph, *, max_k: Optional[int] = None,
                 budget_subsets: Optional[int] = None,
                 budget_secs: Optional[float] = None,
                 workers: int = 1, prune: bool = True) -> SolveResult:
-    """Exact zero forcing number with a certifying exhaustion.
+    """Exact zero forcing number with a certificate.
 
-    Sizes are tried from max(1, minimum degree) upward; within a size,
-    subsets are enumerated lexicographically and the first success is
-    returned, so the witness is the lexicographically least one. With
-    ``prune=False`` every subset of every failing size is closure-tested,
-    giving a literal exhaustive certificate.
+    The default engine is the wavefront over closed sets (module docstring).
+    Once it has found z, one enumeration level at size z returns the
+    lexicographically least witness. ``subsets_tested`` counts its closure
+    evaluations: one per successor state and one per subset of that level.
 
-    Budgets turn the result inconclusive instead of wrong: ``bounds`` then
-    reports the last fully exhausted size plus one, and the best known upper
-    bound. ``budget_subsets`` forces single-process search; with multiple
-    ``workers`` the subsets of each size are sharded by smallest element and
-    merged deterministically.
+    With ``prune=False`` sizes are tried from max(1, minimum degree) upward
+    and every subset of every failing size is closure-tested, giving a
+    literal exhaustive certificate; ``subsets_tested`` counts the subsets.
+    Only this mode uses ``workers``: the subsets of each size are sharded by
+    smallest element and merged deterministically.
+
+    Budgets turn the result inconclusive instead of wrong; ``bounds`` then
+    reports a proven lower bound and the best known upper bound.
+    ``budget_subsets`` caps ``subsets_tested`` and forces single-process
+    search. Exhausting every size up to ``max_k`` gives the lower bound
+    max_k + 1. When a budget stops the wavefront in the bucket of cost c,
+    every cheaper state was expanded and none of cost c is full, so the lower
+    bound is c + 1; in the certificate mode it is the size being enumerated.
+    A budget that stops the witness level leaves bounds (z, z) and no
+    witness.
     """
     n = len(graph)
     if n == 0:
@@ -185,7 +253,7 @@ def solve_exact(graph: Graph, *, max_k: Optional[int] = None,
         raise ResourceLimitError(
             f"{n} vertices exceeds the default limit {DEFAULT_VERTEX_LIMIT}; "
             "pass an explicit budget or max_k to opt in")
-    if budget_subsets is not None:
+    if budget_subsets is not None or prune:
         workers = 1
     masks = graph.neighbor_masks
     full = (1 << n) - 1
@@ -206,8 +274,19 @@ def solve_exact(graph: Graph, *, max_k: Optional[int] = None,
                            elapsed=time.monotonic() - started, status=status,
                            bounds=bounds)
 
-    for k in range(k_start, k_stop + 1):
-        shards = [(masks, full, k, first, prune, deadline, None)
+    levels = range(k_start, k_stop + 1)
+    if prune:
+        z, low, high, tested_total = _wavefront(
+            masks, full, min(k_stop, upper), deadline, budget_subsets)
+        if z is None:
+            if low <= k_stop:  # a budget stopped the search
+                low = max(low, k_start)
+            if high is not None:
+                upper = min(upper, high)
+            return finish(None, None, "inconclusive", (low, max(upper, low)))
+        levels, upper = (z,), z
+    for k in levels:
+        shards = [(masks, full, k, first, deadline, None)
                   for first in range(0, n - k + 1)]
         if workers <= 1 or len(shards) <= 1:
             remaining = (budget_subsets - tested_total
@@ -232,14 +311,14 @@ def solve_exact(graph: Graph, *, max_k: Optional[int] = None,
 def _run_level_serial(shards, budget_remaining):
     tested = 0
     for args in shards:
-        masks, full, k, first, prune, deadline, _ = args
+        masks, full, k, first, deadline, _ = args
         cap = None
         if budget_remaining is not None:
             cap = budget_remaining - tested
             if cap <= 0:
                 return None, tested, True
         witness, shard_tested, aborted = _search_first(
-            masks, full, k, first, prune, deadline, cap)
+            masks, full, k, first, deadline, cap)
         tested += shard_tested
         if witness is not None:
             return witness, tested, False
@@ -251,6 +330,9 @@ def _run_level_serial(shards, budget_remaining):
 def _run_level_parallel(shards, workers):
     # Shards are consumed in first-element order, so the merged outcome (the
     # lexicographically least witness) does not depend on the worker count.
+    # Imported here, so that importing the package does not load
+    # multiprocessing, which costs every CLI call about 1.3 MB of memory.
+    from concurrent.futures import ProcessPoolExecutor
     tested = 0
     witness = None
     aborted = False

@@ -1,6 +1,9 @@
 import io
 import json
 
+import pytest
+
+from zfcubes import cli
 from zfcubes.cli import main
 
 
@@ -227,3 +230,16 @@ def test_usage_error_exits_two(capsys):
     captured = capsys.readouterr()
     manifest = json.loads(captured.err.strip().splitlines()[-1])
     assert manifest["outcome"] == "error"
+
+
+@pytest.mark.parametrize("error", [RecursionError, MemoryError, KeyboardInterrupt])
+def test_interpreter_errors_exit_two_with_manifest(capsys, monkeypatch, error):
+    def handler(args):
+        raise error()
+
+    monkeypatch.setattr(cli, "cmd_solve", handler)
+    code, out, manifest = run_cli(capsys, "solve", "--input", "q2.json")
+    assert code == 2
+    assert out == ""
+    assert manifest["outcome"] == "error"
+    assert manifest["error_type"] == error.__name__

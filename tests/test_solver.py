@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -132,3 +133,64 @@ def test_trivial_graphs():
     assert solve_exact(complete_graph(1)).z == 1
     assert solve_exact(build_hypercube(1)).z == 1
     assert solve_exact(complete_graph(4)).z == 3
+
+
+def test_wavefront_certifies_minority_five():
+    started = time.monotonic()
+    result = solve_exact(build_minority_cube(5).graph)
+    assert time.monotonic() - started < 10.0
+    assert (result.z, result.status, result.bounds) == (13, "exact", (13, 13))
+    # the lexicographically least witness, the one literal enumeration finds
+    assert result.witness == ("00000", "00001", "00010", "00011", "00100",
+                              "00101", "00110", "00111", "01000", "01001",
+                              "01010", "01100", "01101")
+
+
+def test_wavefront_matches_reference_on_random_graphs():
+    rng = random.Random(0x3AFE)
+    for _ in range(200):
+        g = random_graph(rng.randint(1, 9), rng, p=rng.uniform(0.1, 0.8))
+        result = solve_exact(g)
+        assert (result.z, result.witness) == reference_zero_forcing_number(g)
+        assert result.status == "exact" and result.bounds == (result.z, result.z)
+
+
+def test_inconclusive_results_bracket_z():
+    rng = random.Random(41)
+    cases = [(build_minority_cube(5).graph, 13), (build_hypercube(4), 8)]
+    for _ in range(20):
+        g = random_graph(rng.randint(6, 9), rng)
+        cases.append((g, reference_zero_forcing_number(g)[0]))
+    for g, z in cases:
+        tested = solve_exact(g).subsets_tested
+        runs = [({"max_k": z - 1}, None)]
+        # the last budget stops the witness level after the wavefront found z
+        runs += [({"budget_subsets": cap}, cap)
+                 for cap in (0, 1, tested // 3, tested // 2, tested - 1)]
+        if tested > 512:  # the deadline is read every 512 closures
+            runs.append(({"budget_secs": 0.0}, None))
+        for kwargs, cap in runs:
+            result = solve_exact(g, **kwargs)
+            assert (result.status, result.z, result.witness) == ("inconclusive", None, None)
+            lo, hi = result.bounds
+            assert lo <= z <= hi, (kwargs, result.bounds, z)
+            if cap is not None:
+                assert result.subsets_tested <= cap
+        assert solve_exact(g, max_k=z - 1).bounds[0] == z
+        assert solve_exact(g, budget_subsets=tested - 1).bounds == (z, z)
+        assert solve_exact(g, budget_subsets=tested).z == z
+
+
+@pytest.mark.parametrize("prune", [True, False])
+def test_deep_levels_do_not_recurse(prune):
+    result = solve_exact(complete_graph(1100), budget_secs=30, prune=prune)
+    assert (result.z, result.status) == (1099, "exact")
+    assert result.witness == tuple(range(1099))
+
+
+def test_literal_mode_workers_agree_with_serial():
+    g = build_minority_cube(4).graph
+    serial = solve_exact(g, prune=False)
+    parallel = solve_exact(g, prune=False, workers=2)
+    assert (parallel.z, parallel.witness, parallel.subsets_tested) == \
+        (serial.z, serial.witness, serial.subsets_tested)
