@@ -97,19 +97,13 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edge_keys)
+        return sum(map(len, self.adjacency.values())) // 2
 
     def edges(self) -> list[tuple]:
         """Edges as (u, v) tuples with u before v in canonical order."""
-        idx = self.index
-        out = []
-        for u in self.vertices:
-            iu = idx[u]
-            for v in self.adjacency[u]:
-                if idx[v] > iu:
-                    out.append((u, v))
-        out.sort(key=lambda e: (idx[e[0]], idx[e[1]]))
-        return out
+        verts = self.vertices
+        return [(verts[a], verts[b])
+                for a, nbrs in enumerate(self.neighbor_ids) for b in nbrs if b > a]
 
     def neighbors(self, v) -> list:
         return sorted(self.adjacency[v], key=self.index.__getitem__)
@@ -326,18 +320,20 @@ def twin(graph: Graph, v: str) -> str:
 
 
 def twisted_edges(graph: Graph) -> list[tuple[str, str]]:
-    """Edges whose endpoints differ in more than one position.
+    """Edges between equal-length bit strings that differ in more than one position.
 
     These are exactly the matching edges, at any level of the construction,
-    that deviate from the standard matching.
+    that deviate from the standard matching. Edges with an endpoint that is
+    not a bit string, or with endpoints of unequal length, are never twisted.
     """
-    out = []
-    for u, v in graph.edges():
-        if not (isinstance(u, str) and isinstance(v, str)):
-            raise ValueError("twisted edges are defined for bit-string labelled graphs")
-        if hamming_distance(u, v) > 1:
-            out.append((u, v))
-    return out
+    verts = graph.vertices
+    if not all(isinstance(v, str) for v in verts):
+        raise ValueError("twisted edges are defined for bit-string labelled graphs")
+    lengths = [-1 if v.strip("01") else len(v) for v in verts]  # -1: not bits
+    ids = [vertex_id(v) if n >= 0 else 0 for v, n in zip(verts, lengths)]
+    return [(verts[a], verts[b]) for a, nbrs in enumerate(graph.neighbor_ids)
+            for b in nbrs if b > a and lengths[b] == lengths[a] >= 0
+            and (x := ids[a] ^ ids[b]) & (x - 1)]
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:

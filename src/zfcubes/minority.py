@@ -20,8 +20,8 @@ from functools import cached_property
 
 from .arcsets import ArcSet
 from .errors import ResourceLimitError
-from .graphs import (Graph, TwistSpec, bitstrings, build_twisted, hamming_distance,
-                     identity_matching, transposition_matching)
+from .graphs import (Graph, TwistSpec, bitstrings, build_twisted, identity_matching,
+                     transposition_matching, twisted_edges)
 
 MIN_DIMENSION = 3
 MAX_DIMENSION = 12
@@ -96,13 +96,12 @@ def build_minority_cube(n: int) -> MinorityCube:
                 + [(u + "1", v + "1") for u, v in arcs]
                 + [bridge_arc_at(level)])
     graph = build_twisted(minority_twist_spec(n))
-    twisted = tuple((u, v) for u, v in graph.edges() if hamming_distance(u, v) > 1)
     return MinorityCube(
         n=n,
         graph=graph,
         arcs=ArcSet(graph, arcs),
         bridge_arc=bridge_arc_at(n) if n >= 4 else None,
-        twisted_edges=twisted,
+        twisted_edges=tuple(twisted_edges(graph)),
     )
 
 

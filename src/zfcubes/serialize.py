@@ -25,10 +25,12 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from .arcsets import ArcSet
 from .errors import DocumentError
-from .graphs import Graph, hamming_distance, vertex_id
+from .graphs import Graph, twisted_edges, vertex_id
 
 _RESERVED_KEYS = ("dimension", "vertices", "edges", "arcs", "twisted_edges", "set")
 
@@ -44,16 +46,7 @@ class GraphDocument:
 
 
 def _is_bit_vertex(v) -> bool:
-    return isinstance(v, str) and all(c in "01" for c in v)
-
-
-def _twisted_pairs(graph: Graph) -> list[list[str]]:
-    pairs = []
-    for u, v in graph.edges():
-        if (_is_bit_vertex(u) and _is_bit_vertex(v) and len(u) == len(v)
-                and hamming_distance(u, v) > 1):
-            pairs.append([u, v])
-    return pairs
+    return isinstance(v, str) and not v.strip("01")
 
 
 def to_json_document(graph: Graph, arcs: ArcSet | None = None,
@@ -68,7 +61,7 @@ def to_json_document(graph: Graph, arcs: ArcSet | None = None,
         "vertices": list(graph.vertices),
         "edges": [[u, v] for u, v in graph.edges()],
         "arcs": [[u, v] for u, v in arcs.sorted_arcs()] if arcs is not None else None,
-        "twisted_edges": _twisted_pairs(graph),
+        "twisted_edges": [[u, v] for u, v in twisted_edges(graph)],
     }
     if initial_set is not None:
         doc["set"] = sorted(initial_set, key=graph.index.__getitem__)
@@ -79,9 +72,38 @@ def to_json_document(graph: Graph, arcs: ArcSet | None = None,
     return doc
 
 
+def _dump_entry(key, value) -> str:
+    """One top-level ``"key": value`` line group of the indent-2 layout."""
+    if isinstance(key, str) and type(value) is list:
+        enc = encode_basestring_ascii
+        head = f"  {enc(key)}: "
+        kinds = set(map(type, value))
+        if not value:
+            return head + "[]"
+        if kinds == {str}:
+            return head + "[\n    " + ",\n    ".join(map(enc, value)) + "\n  ]"
+        if (kinds == {list} and set(map(len, value)) == {2}
+                and set(map(type, chain.from_iterable(value))) == {str}):
+            leaves = map(enc, chain.from_iterable(value))
+            pairs = map(",\n      ".join, zip(leaves, leaves))
+            return (head + "[\n    [\n      " + "\n    ],\n    [\n      ".join(pairs)
+                    + "\n    ]\n  ]")
+    return json.dumps({key: value}, indent=2)[2:-2]
+
+
 def dumps_json_document(graph: Graph, arcs: ArcSet | None = None,
                         initial_set=None, extras: dict | None = None) -> str:
-    return json.dumps(to_json_document(graph, arcs, initial_set, extras), indent=2) + "\n"
+    """The document as text, byte-identical to ``json.dumps(doc, indent=2) + "\\n"``.
+
+    ``json.dumps`` uses its C encoder only without ``indent``; with it, every
+    value goes through the pure-Python ``_iterencode``, which dominated the
+    export of large cubes. The indent-2 layout is written here directly
+    instead: lists of strings and of string pairs are joined from leaves
+    encoded by the C ``encode_basestring_ascii``, and every other value is
+    left to ``json.dumps``.
+    """
+    doc = to_json_document(graph, arcs, initial_set, extras)
+    return "{\n" + ",\n".join(_dump_entry(k, v) for k, v in doc.items()) + "\n}\n"
 
 
 def _fail(message: str, location: str) -> None:
@@ -131,6 +153,12 @@ def from_json_document(data) -> GraphDocument:
             return None
         if not isinstance(raw, list):
             _fail(f"{key} must be a list of pairs", key)
+        # One bulk check; only a failing list is walked item by item below,
+        # to name the first bad location.
+        if set(map(type, raw)) <= {list} and set(map(len, raw)) <= {2}:
+            members = list(chain.from_iterable(raw))
+            if set(map(type, members)) <= {str} and known.issuperset(members):
+                return list(map(tuple, raw))
         pairs = []
         for i, item in enumerate(raw):
             if (not isinstance(item, list) or len(item) != 2
@@ -170,7 +198,7 @@ def to_dot(graph: Graph, arcs: ArcSet | None = None, name: str = "zfcubes") -> s
         if not isinstance(v, str):
             raise ValueError(f"only string-labelled graphs can be exported, found {v!r}")
     arc_pairs = arcs.arcs if arcs is not None else frozenset()
-    twisted = {frozenset((u, v)) for u, v in _twisted_pairs(graph)}
+    twisted = set(twisted_edges(graph))
     lines = [f"graph {name} {{"]
     if graph.dimension is not None:
         lines.append(f'  dimension="{graph.dimension}";')
@@ -183,7 +211,7 @@ def to_dot(graph: Graph, arcs: ArcSet | None = None, name: str = "zfcubes") -> s
             stmt = f'"{v}" -> "{u}"'
         else:
             stmt = f'"{u}" -- "{v}"'
-        if frozenset((u, v)) in twisted:
+        if (u, v) in twisted:
             stmt += " [color=red]"
         lines.append(f"  {stmt};")
     lines.append("}")

@@ -150,3 +150,67 @@ def random_dipath_arcset(graph, rng, keep=0.5):
         end_of_start[su] = ev
         arcs.append((u, v))
     return arcs
+
+
+def reference_walk_cycle_exists(arcset):
+    """Closed-walk state search over all directed edge traversals.
+
+    States are directed traversals (u, v) of host edges. A step onward from
+    v to w != u is allowed along a forward arc always, and along anything
+    else only when (u, v) was a forward arc. A directed cycle among these
+    states exists exactly when a chain twist does; found here by colouring
+    depth-first search over every state.
+    """
+    g = arcset.host
+    nbr = g.neighbor_ids
+    idx = g.index
+    arc_ids = {(idx[u], idx[v]) for u, v in arcset.arcs
+               if u in idx and v in idx}
+
+    def successors(state):
+        u, v = state
+        forward = (u, v) in arc_ids
+        for w in nbr[v]:
+            if w == u:
+                continue
+            if forward or (v, w) in arc_ids:
+                yield (v, w)
+
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color: dict = {}
+    for a in range(len(g)):
+        for b in nbr[a]:
+            start = (a, b)
+            if color.get(start, WHITE) != WHITE:
+                continue
+            stack = [(start, successors(start))]
+            color[start] = GRAY
+            while stack:
+                state, succ = stack[-1]
+                advanced = False
+                for nxt in succ:
+                    c = color.get(nxt, WHITE)
+                    if c == GRAY:
+                        return True
+                    if c == WHITE:
+                        color[nxt] = GRAY
+                        stack.append((nxt, successors(nxt)))
+                        advanced = True
+                        break
+                if not advanced:
+                    color[state] = BLACK
+                    stack.pop()
+    return False
+
+
+def random_oriented_arcset(graph, rng, p=0.3):
+    """Each edge independently absent or oriented either way: out- and
+    in-degrees above one and directed cycles all occur."""
+    arcs = []
+    for u, v in graph.edges():
+        r = rng.random()
+        if r < p:
+            arcs.append((u, v))
+        elif r < 2 * p:
+            arcs.append((v, u))
+    return arcs

@@ -2,13 +2,15 @@ import random
 
 import pytest
 
-from helpers import random_dipath_arcset, random_graph
-from zfcubes import (ArcSet, ArcStructureError, ResourceLimitError,
-                     build_hypercube, build_minority_cube, closure,
+from helpers import (random_dipath_arcset, random_graph, random_oriented_arcset,
+                     reference_walk_cycle_exists)
+from zfcubes import (ArcSet, ArcStructureError, ResourceLimitError, TwistSpec,
+                     build_hypercube, build_minority_cube, build_twisted, closure,
                      complete_graph, cycle_graph, decompose, find_chain_twist,
                      is_chain_twist, is_chain_twist_path, is_forcing_arc_set,
                      is_zero_forcing_set, product_arcset, trace_to_arcset,
                      validate_arcset)
+from zfcubes.arcsets import _walk_cycle_exists
 
 F3_ARCS = [("000", "100"), ("100", "110"), ("001", "101"), ("101", "111")]
 
@@ -212,3 +214,53 @@ def test_lifted_set_size_follows_arc_complement():
     assert len(initials) == len(lifted.host) - len(lifted)
     assert len(initials) == 4 * 2
     assert is_zero_forcing_set(lifted.host, initials)
+
+
+def test_arc_graph_detector_matches_state_search_on_random_orientations():
+    # Arbitrary orientations: out- and in-degree above one, steps against
+    # arcs, directed cycles. Only the one-direction-per-edge rule holds.
+    rng = random.Random(31)
+    outcomes = set()
+    for _ in range(400):
+        g = random_graph(rng.randint(3, 10), rng, p=rng.choice([0.3, 0.5, 0.8]))
+        arcs = ArcSet(g, random_oriented_arcset(g, rng, p=rng.choice([0.1, 0.25, 0.4])))
+        assert validate_arcset(arcs) == []
+        expected = reference_walk_cycle_exists(arcs)
+        assert _walk_cycle_exists(arcs) == expected
+        assert (find_chain_twist(arcs, method="walk") is not None) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_arc_graph_detector_matches_state_search_on_cubes():
+    # Force records and dipath forests on random twisted cubes up to n=7.
+    rng = random.Random(32)
+    outcomes = set()
+    for case in range(240):
+        g = build_twisted(TwistSpec.random(rng.randint(2, 7), rng))
+        if case % 2:
+            arcs = ArcSet(g, random_dipath_arcset(g, rng, keep=rng.random()))
+        else:
+            s = {v for v in g.vertices if rng.random() < rng.choice([0.3, 0.5, 0.7])}
+            arcs = trace_to_arcset(closure(g, s))
+        expected = reference_walk_cycle_exists(arcs)
+        assert _walk_cycle_exists(arcs) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_minority_cubes_are_twist_free_to_dimension_ten():
+    for n in range(3, 11):
+        arcs = build_minority_cube(n).arcs
+        assert not _walk_cycle_exists(arcs)
+        assert not reference_walk_cycle_exists(arcs)
+
+
+def test_sorted_arcs_order_and_unknown_endpoints():
+    host = cycle_graph(4)
+    strays = [("z", 0), ("x", 2), ("y", 0), ("w", 0), ("x", 0)]
+    arcs = ArcSet(host, [(3, 0), (0, 1), (2, 3), (1, "y")] + strays)
+    assert arcs.sorted_arcs() == [(0, 1), (1, "y"), (2, 3), (3, 0), ("w", 0),
+                                  ("x", 0), ("y", 0), ("z", 0), ("x", 2)]
+    arcs.sorted_arcs().clear()
+    assert list(arcs) == arcs.sorted_arcs() and len(arcs.sorted_arcs()) == 9

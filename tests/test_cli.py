@@ -243,3 +243,16 @@ def test_interpreter_errors_exit_two_with_manifest(capsys, monkeypatch, error):
     assert out == ""
     assert manifest["outcome"] == "error"
     assert manifest["error_type"] == error.__name__
+
+
+@pytest.mark.parametrize("bad", [["0", ["1"]], ["0", {"1": "0"}], ["0", "1", "0"], "01"])
+@pytest.mark.parametrize("key", ["edges", "arcs"])
+def test_malformed_pairs_exit_two(capsys, tmp_path, key, bad):
+    doc = {"vertices": ["0", "1"], "edges": [["0", "1"]], "arcs": [["0", "1"]]}
+    doc[key] = [bad]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, manifest = run_cli(capsys, "verify", "arcs", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert manifest["error_type"] == "DocumentError"

@@ -143,3 +143,34 @@ def test_equality_is_labelled():
     b = Graph("cba", [("b", "a")])
     assert a == b
     assert a != Graph("abc", [("b", "c")])
+
+
+def test_repr_and_edge_count_leave_edge_keys_unbuilt():
+    g = build_twisted(TwistSpec.random(6, random.Random(3)))
+    assert "edge_keys" not in repr(g) and "edge_keys" not in g.__dict__
+    assert g.edge_count == len(g.edges()) == 192
+    assert "edge_keys" not in g.__dict__
+    assert len(g.edge_keys) == g.edge_count
+
+
+def test_edges_are_in_canonical_order():
+    rng = random.Random(5)
+    for _ in range(20):
+        verts = [f"v{i}" for i in range(rng.randint(1, 12))]
+        rng.shuffle(verts)
+        g = Graph(verts, [(u, v) for u in verts for v in verts
+                          if u < v and rng.random() < 0.4])
+        pos = g.index
+        expected = sorted(((u, v) if pos[u] < pos[v] else (v, u)
+                           for u in verts for v in g.adjacency[u] if u < v),
+                          key=lambda e: (pos[e[0]], pos[e[1]]))
+        assert g.edges() == expected
+
+
+def test_twisted_edges_skip_labels_that_are_not_comparable_bit_strings():
+    g = Graph(["", "0", "11", "00", "ab", "ba", "1"],
+              [("", "0"), ("0", "11"), ("11", "00"), ("ab", "ba"), ("00", "ab"),
+               ("1", "0"), ("1", "11")])
+    assert twisted_edges(g) == [("11", "00")]
+    with pytest.raises(ValueError):
+        twisted_edges(path_graph(3))

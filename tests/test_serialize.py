@@ -4,7 +4,7 @@ import random
 import pytest
 
 from helpers import random_dipath_arcset, random_graph
-from zfcubes import (ArcSet, DocumentError, TwistSpec, build_hypercube,
+from zfcubes import (ArcSet, DocumentError, Graph, TwistSpec, build_hypercube,
                      build_minority_cube, build_twisted, closure,
                      dumps_json_document, from_dot, from_json_document, to_dot,
                      to_json_document, trace_to_arcset)
@@ -128,3 +128,73 @@ def test_random_documents_round_trip():
 def test_document_accepts_already_parsed_objects():
     payload = json.loads(dumps_json_document(build_hypercube(2)))
     assert from_json_document(payload).graph == build_hypercube(2)
+
+
+def _random_extra(rng, depth=0):
+    leaves = [None, True, False, 0, -7, 2.5, 1e-9, "", "plain", "naïve ☃", "tab\t\"q\"\\"]
+    kind = rng.randrange(6 if depth < 3 else 1)
+    if kind == 0:
+        return rng.choice(leaves)
+    if kind == 1:
+        return []
+    if kind == 2:
+        return {}
+    if kind == 3:
+        return [rng.choice(["0", "é", "x\ny", "0", "é", 5, None])
+                for _ in range(rng.randint(1, 4))]
+    if kind == 4:
+        pair_member = ["0", "1", "ü", "0", "1", 1.5]
+        return [[rng.choice(pair_member) for _ in range(rng.choice([2, 2, 1, 3]))]
+                for _ in range(rng.randint(1, 3))]
+    return {rng.choice(["k", "ключ", "z"]): _random_extra(rng, depth + 1)
+            for _ in range(rng.randint(1, 3))}
+
+
+def test_dump_is_byte_identical_to_json_dumps():
+    rng = random.Random(9090)
+    for case in range(150):
+        if case % 3:
+            g = build_twisted(TwistSpec.random(rng.randint(0, 4), rng))
+        else:
+            base = random_graph(rng.randint(1, 8), rng)
+            prefix = [rng.choice(["", "é", "v"]) for _ in base.vertices]
+            g = base.relabel(lambda i: prefix[i] + str(i))
+        s = {v for v in g.vertices if rng.random() < 0.5}
+        arcs = trace_to_arcset(closure(g, s)) if rng.random() < 0.7 else None
+        initial = s if rng.random() < 0.5 else None
+        extras = {rng.choice(["bridge_arc", "note", "ä", "z", "m"]): _random_extra(rng)
+                  for _ in range(rng.randint(0, 4))}
+        doc = to_json_document(g, arcs, initial, extras)
+        assert (dumps_json_document(g, arcs, initial, extras)
+                == json.dumps(doc, indent=2) + "\n")
+
+
+def test_twisted_pairs_on_mixed_labels():
+    labels = ["", "0", "1", "01", "10", "11", "00", "0a", "a0", "110", "001"]
+    rng = random.Random(11)
+    for _ in range(40):
+        g = Graph(labels, [(u, v) for i, u in enumerate(labels) for v in labels[i + 1:]
+                           if rng.random() < 0.4])
+        bits = lambda v: all(c in "01" for c in v)
+        expected = [[u, v] for u, v in g.edges()
+                    if bits(u) and bits(v) and len(u) == len(v)
+                    and sum(a != b for a, b in zip(u, v)) > 1]
+        doc = to_json_document(g)
+        assert doc["twisted_edges"] == expected
+        red = [line for line in to_dot(g).splitlines() if "color=red" in line]
+        assert red == [f'  "{u}" -- "{v}" [color=red];' for u, v in expected]
+        assert dumps_json_document(g) == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("bad", [["0", ["1"]], ["0", {"1": "0"}], ["0", "1", "0"],
+                                 "01", None, ["0", 1], ["0"]])
+@pytest.mark.parametrize("key", ["edges", "arcs"])
+def test_malformed_pairs_are_located(bad, key):
+    doc = {"vertices": ["0", "1"], "edges": [["0", "1"]], "arcs": [["0", "1"]]}
+    doc[key] = [["0", "1"], bad]
+    with pytest.raises(DocumentError) as err:
+        from_json_document(doc)
+    assert err.value.location == f"{key}[1]"
+    with pytest.raises(DocumentError) as err:
+        from_json_document(json.dumps(doc))
+    assert err.value.location == f"{key}[1]"
