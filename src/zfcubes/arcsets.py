@@ -11,6 +11,10 @@ as a non-arc. An arc set can be realised as the complete force record of a
 successful zero forcing run exactly when it contains no chain twist, which is
 what :func:`is_forcing_arc_set` checks by greedy execution and
 :func:`find_chain_twist` checks by cycle search.
+
+:func:`_color_change` is the package's one colour-change kernel: the
+closure of a blue set (``forcing.closure``) and the execution of an arc set
+(:func:`is_forcing_arc_set`) both run it.
 """
 
 from __future__ import annotations
@@ -32,12 +36,13 @@ EXHAUSTIVE_VERTEX_LIMIT = 16
 class ArcSet:
     """A set of directed edges over a host graph."""
 
-    __slots__ = ("host", "arcs", "_sorted")
+    __slots__ = ("host", "arcs", "_sorted", "_chains")
 
     def __init__(self, host: Graph, arcs: Iterable[Arc]):
         self.host = host
         self.arcs = frozenset((u, v) for u, v in arcs)
         self._sorted = None
+        self._chains = None
 
     def __len__(self) -> int:
         return len(self.arcs)
@@ -124,8 +129,11 @@ def decompose(arcset: ArcSet) -> ChainDecomposition:
     """Split the host's vertices into the maximal directed paths of the arc set.
 
     Requires in-degree and out-degree at most one at every vertex and no
-    directed cycle; the number of chains always equals |V| - |arcs|.
+    directed cycle; the number of chains always equals |V| - |arcs|. The
+    result is computed once per arc set and then reused.
     """
+    if arcset._chains is not None:
+        return arcset._chains
     problems = validate_arcset(arcset)
     if problems:
         raise ValueError(problems[0])
@@ -154,7 +162,8 @@ def decompose(arcset: ArcSet) -> ChainDecomposition:
                        key=host.index.__getitem__)
         raise ArcStructureError(
             f"arcs through vertex {leftover!r} form a directed cycle", vertex=leftover)
-    return ChainDecomposition(tuple(chains))
+    arcset._chains = ChainDecomposition(tuple(chains))
+    return arcset._chains
 
 
 def _twisted_sequence(arcs: frozenset, seq: Sequence, cyclic: bool) -> bool:
@@ -372,6 +381,44 @@ def find_chain_twist(arcset: ArcSet, method: str = "exhaustive") -> Optional[lis
     raise ValueError(f"unknown method {method!r}")
 
 
+def _color_change(nbr, blue: bytearray, target: Optional[dict] = None) -> list:
+    """Run the colour change rule over vertex ids to its fixed point.
+
+    ``nbr`` lists each vertex's neighbour ids and ``blue`` marks the blue
+    vertices; it is updated in place. A blue vertex with exactly one white
+    neighbour forces it, the smallest ready forcer id first. With ``target``
+    (tail id -> head id), the arcs of a dipath forest whose chain-initial
+    vertices are the blue ones, only tails force. A ready tail's one white
+    neighbour is then its head, because only that tail can force the head.
+    Returns the (forcer, forced) id pairs in execution order.
+    """
+    n = len(nbr)
+    white_count = [0] * n
+    for v in range(n):
+        white_count[v] = sum(1 for w in nbr[v] if not blue[w])
+    heap = [v for v in range(n) if blue[v] and white_count[v] == 1]  # ascending: a heap
+    forces = []
+    while heap:
+        u = heapq.heappop(heap)
+        if white_count[u] != 1:
+            continue
+        if target is None:
+            t = next(w for w in nbr[u] if not blue[w])
+        else:
+            t = target.get(u)
+            if t is None:
+                continue
+        blue[t] = 1
+        forces.append((u, t))
+        for w in nbr[t]:
+            white_count[w] -= 1
+            if blue[w] and white_count[w] == 1:
+                heapq.heappush(heap, w)
+        if white_count[t] == 1:
+            heapq.heappush(heap, t)
+    return forces
+
+
 def is_forcing_arc_set(arcset: ArcSet) -> bool:
     """Can the arcs be executed as a complete zero forcing run?
 
@@ -385,33 +432,11 @@ def is_forcing_arc_set(arcset: ArcSet) -> bool:
     decomposition = decompose(arcset)
     host = arcset.host
     idx = host.index
-    nbr = host.neighbor_ids
-    n = len(host)
-    blue = bytearray(n)
+    blue = bytearray(len(host))
     for v in decomposition.initials:
         blue[idx[v]] = 1
-    white_count = [0] * n
-    for v in range(n):
-        white_count[v] = sum(1 for w in nbr[v] if not blue[w])
-    out_target: dict[int, int] = {idx[u]: idx[v] for u, v in arcset.arcs}
-    performed = 0
-    heap = [u for u in out_target if blue[u] and white_count[u] == 1]
-    heapq.heapify(heap)
-    while heap:
-        u = heapq.heappop(heap)
-        t = out_target.get(u)
-        if t is None or white_count[u] != 1 or blue[t]:
-            continue
-        del out_target[u]
-        blue[t] = 1
-        performed += 1
-        for w in nbr[t]:
-            white_count[w] -= 1
-            if blue[w] and white_count[w] == 1 and w in out_target:
-                heapq.heappush(heap, w)
-        if white_count[t] == 1 and t in out_target:
-            heapq.heappush(heap, t)
-    return performed == len(arcset.arcs)
+    target = {idx[u]: idx[v] for u, v in arcset.arcs}
+    return len(_color_change(host.neighbor_ids, blue, target)) == len(arcset.arcs)
 
 
 def product_arcset(arcset: ArcSet, other: Graph) -> ArcSet:

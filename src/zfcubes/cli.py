@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -135,17 +134,16 @@ def cmd_verify(args) -> int:
     if doc.arcs is None:
         raise DocumentError("document carries no 'arcs' payload")
     if args.mode == "arcs":
-        problems = validate_arcset(doc.arcs)
-        if problems:
-            for problem in problems:
-                print(f"violation: {problem}")
-            print("FAIL: not a valid arc set")
-            return 1
         try:
             decomposition = decompose(doc.arcs)
         except ArcStructureError as exc:
             print(f"violation: {exc}")
             print("FAIL: arcs do not form vertex-disjoint directed paths")
+            return 1
+        except ValueError:  # decompose names only the first problem
+            for problem in validate_arcset(doc.arcs):
+                print(f"violation: {problem}")
+            print("FAIL: not a valid arc set")
             return 1
         print(f"{len(doc.arcs)} arcs, {decomposition.chain_count} chains, "
               f"{len(decomposition.isolated)} isolated vertices")
@@ -172,7 +170,6 @@ def cmd_solve(args) -> int:
                          max_k=args.max_k,
                          budget_subsets=args.budget_subsets,
                          budget_secs=args.budget_secs,
-                         workers=args.workers,
                          prune=not args.no_prune)
     payload = {
         "z": result.z,
@@ -224,8 +221,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--max-k", type=int, default=None)
     solve.add_argument("--budget-secs", type=float, default=None)
     solve.add_argument("--budget-subsets", type=int, default=None)
-    solve.add_argument("--workers", type=int,
-                       default=int(os.environ.get("ZFCUBES_WORKERS", "1")))
     solve.add_argument("--no-prune", action="store_true",
                        help="closure-test every subset (literal exhaustion)")
     solve.add_argument("--output", default=None)

@@ -4,16 +4,16 @@ Colour change rule: a blue vertex with exactly one white neighbour turns that
 neighbour blue. The closure iterates the rule to its fixed point; the derived
 set does not depend on the order in which forces are performed, but the
 recorded trace does, so the engine schedules deterministically (smallest
-forcer id first).
+forcer id first). The rule runs in ``arcsets._color_change``, the kernel that
+also executes forcing arc sets.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Iterable
 
-from .arcsets import ArcSet
+from .arcsets import ArcSet, _color_change
 from .graphs import Graph
 
 
@@ -51,35 +51,15 @@ def closure(graph: Graph, initial: Iterable) -> ForcingTrace:
     unknown = [v for v in initial_set if v not in idx]
     if unknown:
         raise ValueError(f"initial set contains unknown vertices: {sorted(map(repr, unknown))}")
-    n = len(graph)
-    nbr = graph.neighbor_ids
     verts = graph.vertices
-    blue = bytearray(n)
+    blue = bytearray(len(graph))
     start_ids = sorted(idx[v] for v in initial_set)
     for i in start_ids:
         blue[i] = 1
-    white_count = [0] * n
-    for v in range(n):
-        white_count[v] = sum(1 for w in nbr[v] if not blue[w])
-    heap = [v for v in start_ids if white_count[v] == 1]
-    heapq.heapify(heap)
-    forces = []
-    while heap:
-        u = heapq.heappop(heap)
-        if white_count[u] != 1:
-            continue
-        t = next(w for w in nbr[u] if not blue[w])
-        blue[t] = 1
-        forces.append((verts[u], verts[t]))
-        for w in nbr[t]:
-            white_count[w] -= 1
-            if blue[w] and white_count[w] == 1:
-                heapq.heappush(heap, w)
-        if white_count[t] == 1:
-            heapq.heappush(heap, t)
+    forces = _color_change(graph.neighbor_ids, blue)
     return ForcingTrace(graph,
                         tuple(verts[i] for i in start_ids),
-                        tuple(forces))
+                        tuple((verts[u], verts[t]) for u, t in forces))
 
 
 def derived_set(graph: Graph, initial: Iterable) -> frozenset:

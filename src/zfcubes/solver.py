@@ -214,14 +214,10 @@ def _search_first(masks, full: int, k: int, first: int,
             stack.pop()
 
 
-def _search_first_packed(args):
-    return _search_first(*args)
-
-
 def solve_exact(graph: Graph, *, max_k: Optional[int] = None,
                 budget_subsets: Optional[int] = None,
                 budget_secs: Optional[float] = None,
-                workers: int = 1, prune: bool = True) -> SolveResult:
+                prune: bool = True) -> SolveResult:
     """Exact zero forcing number with a certificate.
 
     The default engine is the wavefront over closed sets (module docstring).
@@ -232,18 +228,16 @@ def solve_exact(graph: Graph, *, max_k: Optional[int] = None,
     With ``prune=False`` sizes are tried from max(1, minimum degree) upward
     and every subset of every failing size is closure-tested, giving a
     literal exhaustive certificate; ``subsets_tested`` counts the subsets.
-    Only this mode uses ``workers``: the subsets of each size are sharded by
-    smallest element and merged deterministically.
+    Each size is enumerated by smallest element, in lexicographic order.
 
     Budgets turn the result inconclusive instead of wrong; ``bounds`` then
     reports a proven lower bound and the best known upper bound.
-    ``budget_subsets`` caps ``subsets_tested`` and forces single-process
-    search. Exhausting every size up to ``max_k`` gives the lower bound
-    max_k + 1. When a budget stops the wavefront in the bucket of cost c,
-    every cheaper state was expanded and none of cost c is full, so the lower
-    bound is c + 1; in the certificate mode it is the size being enumerated.
-    A budget that stops the witness level leaves bounds (z, z) and no
-    witness.
+    ``budget_subsets`` caps ``subsets_tested``. Exhausting every size up to
+    ``max_k`` gives the lower bound max_k + 1. When a budget stops the
+    wavefront in the bucket of cost c, every cheaper state was expanded and
+    none of cost c is full, so the lower bound is c + 1; in the certificate
+    mode it is the size being enumerated. A budget that stops the witness
+    level leaves bounds (z, z) and no witness.
     """
     n = len(graph)
     if n == 0:
@@ -253,8 +247,6 @@ def solve_exact(graph: Graph, *, max_k: Optional[int] = None,
         raise ResourceLimitError(
             f"{n} vertices exceeds the default limit {DEFAULT_VERTEX_LIMIT}; "
             "pass an explicit budget or max_k to opt in")
-    if budget_subsets is not None or prune:
-        workers = 1
     masks = graph.neighbor_masks
     full = (1 << n) - 1
     try:
@@ -286,67 +278,19 @@ def solve_exact(graph: Graph, *, max_k: Optional[int] = None,
             return finish(None, None, "inconclusive", (low, max(upper, low)))
         levels, upper = (z,), z
     for k in levels:
-        shards = [(masks, full, k, first, deadline, None)
-                  for first in range(0, n - k + 1)]
-        if workers <= 1 or len(shards) <= 1:
-            remaining = (budget_subsets - tested_total
-                         if budget_subsets is not None else None)
-            outcome = _run_level_serial(shards, remaining)
-        else:
-            outcome = _run_level_parallel(shards, workers)
-        witness_ids, level_tested, aborted = outcome
-        tested_total += level_tested
-        if witness_ids is not None:
-            return finish(k, witness_ids, "exact", (k, k))
-        if aborted:
-            # this size was cut short, so only sizes below k are ruled out
-            return finish(None, None, "inconclusive", (k, max(upper, k)))
+        for first in range(n - k + 1):
+            cap = budget_subsets - tested_total if budget_subsets is not None else None
+            witness_ids, tested, aborted = _search_first(masks, full, k, first,
+                                                         deadline, cap)
+            tested_total += tested
+            if witness_ids is not None:
+                return finish(k, witness_ids, "exact", (k, k))
+            if aborted:
+                # this size was cut short, so only sizes below k are ruled out
+                return finish(None, None, "inconclusive", (k, max(upper, k)))
         if budget_subsets is not None and tested_total >= budget_subsets:
             return finish(None, None, "inconclusive", (k + 1, max(upper, k + 1)))
     if k_stop < n:
         return finish(None, None, "inconclusive", (k_stop + 1, max(upper, k_stop + 1)))
     raise AssertionError("unreachable: the full vertex set always forces")
 
-
-def _run_level_serial(shards, budget_remaining):
-    tested = 0
-    for args in shards:
-        masks, full, k, first, deadline, _ = args
-        cap = None
-        if budget_remaining is not None:
-            cap = budget_remaining - tested
-            if cap <= 0:
-                return None, tested, True
-        witness, shard_tested, aborted = _search_first(
-            masks, full, k, first, deadline, cap)
-        tested += shard_tested
-        if witness is not None:
-            return witness, tested, False
-        if aborted:
-            return None, tested, True
-    return None, tested, False
-
-
-def _run_level_parallel(shards, workers):
-    # Shards are consumed in first-element order, so the merged outcome (the
-    # lexicographically least witness) does not depend on the worker count.
-    # Imported here, so that importing the package does not load
-    # multiprocessing, which costs every CLI call about 1.3 MB of memory.
-    from concurrent.futures import ProcessPoolExecutor
-    tested = 0
-    witness = None
-    aborted = False
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        pending = [pool.submit(_search_first_packed, args) for args in shards]
-        for i, future in enumerate(pending):
-            shard_witness, shard_tested, shard_aborted = future.result()
-            tested += shard_tested
-            if shard_aborted:
-                aborted = True
-            if shard_witness is not None:
-                witness = shard_witness
-            if witness is not None or aborted:
-                for later in pending[i + 1:]:
-                    later.cancel()
-                break
-    return witness, tested, aborted

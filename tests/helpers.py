@@ -35,6 +35,28 @@ def naive_closure(graph, initial, rng=None):
     return frozenset(blue)
 
 
+def reference_is_forcing_arc_set(arcset):
+    """Execute the arcs by repeated full scans over labels and sets.
+
+    Starting from the vertices no arc enters, any unperformed arc (u, v)
+    whose tail u is blue with v as its only white neighbour is performed,
+    until nothing changes. True when every arc was performed.
+    """
+    graph = arcset.host
+    blue = set(graph.vertices) - {v for _, v in arcset.arcs}
+    pending = set(arcset.arcs)
+    changed = True
+    while changed:
+        changed = False
+        for u, v in list(pending):
+            whites = [w for w in graph.adjacency[u] if w not in blue]
+            if u in blue and whites == [v]:
+                blue.add(v)
+                pending.discard((u, v))
+                changed = True
+    return not pending
+
+
 def reference_zero_forcing_number(graph):
     """Unpruned brute force: smallest k whose lexicographically first
     forcing k-subset exists; returns (z, witness)."""

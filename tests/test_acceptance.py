@@ -110,9 +110,7 @@ def test_criterion_4_dimension_four_value_and_dimension_six_witness():
                            "(set ZFCUBES_EXTENDED=1)")
 def test_criterion_4_extended_dimension_five():
     budget = float(os.environ.get("ZFCUBES_EXTENDED_BUDGET", "3600"))
-    workers = int(os.environ.get("ZFCUBES_WORKERS", "4"))
-    result = solve_exact(build_minority_cube(5).graph,
-                         budget_secs=budget, workers=workers)
+    result = solve_exact(build_minority_cube(5).graph, budget_secs=budget)
     if result.status == "exact":
         report("criterion 4 extended (minority n=5)", result.z == 13,
                f"z={result.z} after {result.subsets_tested} subsets, "

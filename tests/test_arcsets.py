@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from helpers import (random_dipath_arcset, random_graph, random_oriented_arcset,
+from helpers import (naive_closure, random_dipath_arcset, random_graph,
+                     random_oriented_arcset, reference_is_forcing_arc_set,
                      reference_walk_cycle_exists)
 from zfcubes import (ArcSet, ArcStructureError, ResourceLimitError, TwistSpec,
                      build_hypercube, build_minority_cube, build_twisted, closure,
@@ -162,6 +163,34 @@ def test_greedy_execution_examples():
     assert is_forcing_arc_set(build_minority_cube(4).arcs)
     assert not is_forcing_arc_set(alternating_cycle())
     assert is_forcing_arc_set(ArcSet(build_hypercube(2), []))
+
+
+def test_greedy_execution_matches_reference_on_cubes():
+    # Dipath forests, force records and arbitrary orientations on random
+    # twisted cubes; the closures of the same hosts are swept alongside.
+    rng = random.Random(33)
+    verdicts = set()
+    for case in range(300):
+        g = build_twisted(TwistSpec.random(rng.randint(3, 7), rng))
+        s = {v for v in g.vertices if rng.random() < rng.choice([0.2, 0.4, 0.6])}
+        assert closure(g, s).derived == naive_closure(g, s)
+        kind = case % 3
+        if kind == 0:
+            arcs = ArcSet(g, random_dipath_arcset(g, rng, keep=rng.random()))
+        elif kind == 1:
+            arcs = trace_to_arcset(closure(g, s))
+        else:
+            arcs = ArcSet(g, random_oriented_arcset(g, rng, p=rng.choice([0.05, 0.2])))
+        try:
+            decompose(arcs)
+        except ArcStructureError:
+            with pytest.raises(ArcStructureError):
+                is_forcing_arc_set(arcs)
+            continue
+        verdict = is_forcing_arc_set(arcs)
+        assert verdict == reference_is_forcing_arc_set(arcs)
+        verdicts.add((kind, verdict))
+    assert {(0, True), (0, False), (1, True), (2, True), (2, False)} <= verdicts
 
 
 def test_forcing_arcsets_yield_zero_forcing_sets():

@@ -1,10 +1,14 @@
+import importlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
-from zfcubes import cli
+from zfcubes import arcsets, cli
 from zfcubes.cli import main
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def run_cli(capsys, *argv):
@@ -100,6 +104,44 @@ def test_verify_arcs_fails_on_broken_structure(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "verify", "arcs", "--input", str(path))
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_arcs_validates_and_decomposes_once(capsys, monkeypatch, tmp_path):
+    _, doc, _ = run_cli(capsys, "build", "minority", "-n", "6")
+    path = tmp_path / "m6.json"
+    path.write_text(doc)
+    calls = {"validate": 0, "decompose": 0}
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    validate = counting("validate", arcsets.validate_arcset)
+    monkeypatch.setattr(arcsets, "validate_arcset", validate)
+    monkeypatch.setattr(cli, "validate_arcset", validate)
+    # every decomposition that is computed, not reused, builds one of these
+    monkeypatch.setattr(arcsets, "ChainDecomposition",
+                        counting("decompose", arcsets.ChainDecomposition))
+    code, out, _ = run_cli(capsys, "verify", "arcs", "--input", str(path))
+    assert code == 0 and "PASS" in out
+    assert calls == {"validate": 1, "decompose": 1}
+
+
+def test_verify_arcs_prints_every_violation(capsys, tmp_path):
+    doc = {
+        "vertices": ["00", "01", "10", "11"],
+        "edges": [["00", "01"], ["00", "10"], ["01", "11"], ["10", "11"]],
+        "arcs": [["00", "11"], ["01", "11"], ["11", "01"]],
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "verify", "arcs", "--input", str(path))
+    assert code == 1
+    assert out == ("violation: arc '00'->'11': '00'-'11' is not an edge of the host\n"
+                   "violation: arc '01'->'11': the reverse arc is also present\n"
+                   "FAIL: not a valid arc set\n")
 
 
 def test_verify_twist_reports_witness(capsys, tmp_path):
@@ -230,6 +272,24 @@ def test_usage_error_exits_two(capsys):
     captured = capsys.readouterr()
     manifest = json.loads(captured.err.strip().splitlines()[-1])
     assert manifest["outcome"] == "error"
+
+
+def test_unparsable_workers_variable_is_ignored(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("ZFCUBES_WORKERS", "two")
+    output = tmp_path / "q2.json"
+    code, _, manifest = run_cli(capsys, "build", "hypercube", "-n", "2",
+                                "--output", str(output))
+    assert code == 0
+    assert manifest["outcome"] == "ok"
+    assert json.loads(output.read_text())["dimension"] == 2
+
+
+def test_trace_bindings_resolve(monkeypatch):
+    # perfbench/spans.py replaces these module bindings to time each layer
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    for module_name, attr, _, _ in spans.BINDINGS:
+        assert hasattr(importlib.import_module(module_name), attr), (module_name, attr)
 
 
 @pytest.mark.parametrize("error", [RecursionError, MemoryError, KeyboardInterrupt])

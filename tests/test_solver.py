@@ -121,14 +121,6 @@ def test_vertex_guard_requires_opt_in():
     assert result.status == "inconclusive"
 
 
-def test_workers_agree_with_serial():
-    g = build_minority_cube(4).graph
-    serial = solve_exact(g)
-    parallel = solve_exact(g, workers=2)
-    assert parallel.z == serial.z == 7
-    assert parallel.witness == serial.witness
-
-
 def test_trivial_graphs():
     assert solve_exact(complete_graph(1)).z == 1
     assert solve_exact(build_hypercube(1)).z == 1
@@ -186,11 +178,3 @@ def test_deep_levels_do_not_recurse(prune):
     result = solve_exact(complete_graph(1100), budget_secs=30, prune=prune)
     assert (result.z, result.status) == (1099, "exact")
     assert result.witness == tuple(range(1099))
-
-
-def test_literal_mode_workers_agree_with_serial():
-    g = build_minority_cube(4).graph
-    serial = solve_exact(g, prune=False)
-    parallel = solve_exact(g, prune=False, workers=2)
-    assert (parallel.z, parallel.witness, parallel.subsets_tested) == \
-        (serial.z, serial.witness, serial.subsets_tested)
