@@ -14,16 +14,21 @@ added vertices form a forcing set, and replaying the forces of a minimum
 forcing set in order gives a path that costs no more.
 
 The certificate mode (``prune=False``) enumerates candidate sets of each
-size in lexicographic order over vertex ids and closure-tests every one, so
-every smaller size is literally exhausted. The closure of a partial subset is
+size in lexicographic order over vertex ids and decides every one, so every
+smaller size is literally exhausted. The closure of a partial subset is
 carried down the enumeration and extended one vertex at a time, which is
-sound because closure is monotone and idempotent. The wavefront runs one
-level of this enumeration at k = z to return the same witness: the
+sound because closure is monotone and idempotent. Alongside each closed
+prefix P goes its trigger mask: the white vertices whose addition can start
+a force. Adding any other vertex x leaves P | {x} closed and not full, so
+such a subset is decided without a closure: the leaves under a prefix are
+counted in bulk and only its triggers are closure-tested. The wavefront runs
+one level of this enumeration at k = z to return the same witness: the
 lexicographically least forcing set of size z.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -42,9 +47,9 @@ class SolveResult:
     ``status`` is ``"exact"`` when Z is certified and a witness found,
     ``"inconclusive"`` when a budget or ``max_k`` stopped the search first;
     ``bounds`` always brackets the true zero forcing number.
-    ``subsets_tested`` counts closure evaluations: in the wavefront, one per
-    successor state plus one per subset of the witness level; in the
-    certificate mode, one per subset.
+    ``subsets_tested`` counts decided subsets and states: in the wavefront,
+    one per successor state plus one per subset of the witness level; in the
+    certificate mode, one per subset, whether or not it needed a closure.
     """
 
     z: Optional[int]
@@ -158,7 +163,7 @@ def _wavefront(masks, full: int, limit: int, deadline: Optional[float],
                 if cap is not None and tested >= cap:
                     return None, cost + 1, best.get(full), tested
                 tested += 1
-                if deadline is not None and tested % 512 == 0 and time.time() > deadline:
+                if deadline is not None and tested % 512 == 0 and time.monotonic() > deadline:
                     return None, cost + 1, best.get(full), tested
                 succ = _close_mask(masks, blue | added, full)
                 if succ == full:
@@ -174,12 +179,35 @@ def _wavefront(masks, full: int, limit: int, deadline: Optional[float],
     return None, limit + 1, None, tested
 
 
+def _triggers(masks, blue: int, full: int, scan: int) -> int:
+    # The white vertices, among or next to those in ``scan``, whose addition
+    # to the closed set ``blue`` can start a force: a white vertex with at
+    # most one white neighbour, and the white neighbours of a blue vertex
+    # with exactly two. A blue vertex of a closed set never has exactly one
+    # white neighbour, so adding any other white vertex x leaves
+    # ``blue | 1 << x`` closed, and not full.
+    white = full ^ blue
+    trig = 0
+    while scan:
+        low = scan & -scan
+        scan ^= low
+        wn = masks[low.bit_length() - 1] & white
+        if white & low:
+            if not wn & (wn - 1):
+                trig |= low
+        elif wn.bit_count() == 2:
+            trig |= wn
+    return trig
+
+
 def _search_first(masks, full: int, k: int, first: int,
                   deadline: Optional[float], cap: Optional[int]):
     """Enumerate k-subsets whose smallest element is ``first``, in
     lexicographic order.
 
-    Returns (witness ids or None, leaves tested, aborted flag).
+    Returns (witness ids or None, leaves tested, aborted flag). Only the
+    leaves whose last vertex is a trigger of the prefix's closure are
+    closed; the others are counted in bulk.
     """
     n = len(masks)
     base = _close_mask(masks, 1 << first, full)
@@ -190,28 +218,55 @@ def _search_first(masks, full: int, k: int, first: int,
     tested = 0
     chosen = [first]
     stack = [base]  # stack[i] is the closure of chosen[:i + 1]
+    trig = [_triggers(masks, base, full, full)]  # trig[i]: the triggers of stack[i]
     x = first + 1   # candidate for the next position
     while True:
         slots = k - len(chosen)
-        if x <= n - slots:
-            blue = _extend_closure(masks, stack[-1], x, full)
-            if slots == 1:
+        if slots == 1:
+            # the leaves chosen + [y] for y in [x, n), x < n
+            blue = stack[-1]
+            if blue == full:
                 if cap is not None and tested >= cap:
                     return None, tested, True
-                tested += 1
-                if blue == full:
-                    return chosen + [x], tested, False
-                if deadline is not None and tested % 512 == 0 and time.time() > deadline:
-                    return None, tested, True
-            else:
-                chosen.append(x)
-                stack.append(blue)
+                return chosen + [x], tested + 1, False
+            pos = x
+            rest = trig[-1] >> x << x
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                y = low.bit_length() - 1
+                if cap is not None and tested + y - pos >= cap:
+                    return None, cap, True
+                tested += y - pos + 1
+                if _extend_closure(masks, blue, y, full) == full:
+                    return chosen + [y], tested, False
+                pos = y + 1
+            if cap is not None and tested + n - pos > cap:
+                return None, cap, True
+            tested += n - pos
+            if deadline is not None and time.monotonic() > deadline:
+                return None, tested, True
+        elif x <= n - slots:
+            blue, t = stack[-1], trig[-1]
+            bit = 1 << x
+            if t & bit:
+                blue = _extend_closure(masks, blue, x, full)
+                t = _triggers(masks, blue, full, full)
+            elif not blue & bit:
+                # blue | bit stays closed; only x and its neighbours can
+                # become triggers, and no trigger stops being one
+                blue |= bit
+                t |= _triggers(masks, blue, full, masks[x] | bit)
+            chosen.append(x)
+            stack.append(blue)
+            trig.append(t)
             x += 1
-        elif len(chosen) == 1:
+            continue
+        if len(chosen) == 1:
             return None, tested, False
-        else:
-            x = chosen.pop() + 1
-            stack.pop()
+        x = chosen.pop() + 1
+        stack.pop()
+        trig.pop()
 
 
 def solve_exact(graph: Graph, *, max_k: Optional[int] = None,
@@ -222,26 +277,40 @@ def solve_exact(graph: Graph, *, max_k: Optional[int] = None,
 
     The default engine is the wavefront over closed sets (module docstring).
     Once it has found z, one enumeration level at size z returns the
-    lexicographically least witness. ``subsets_tested`` counts its closure
-    evaluations: one per successor state and one per subset of that level.
+    lexicographically least witness. ``subsets_tested`` counts one per
+    successor state and one per subset of that level.
 
     With ``prune=False`` sizes are tried from max(1, minimum degree) upward
-    and every subset of every failing size is closure-tested, giving a
-    literal exhaustive certificate; ``subsets_tested`` counts the subsets.
-    Each size is enumerated by smallest element, in lexicographic order.
+    and every subset of every failing size is decided, giving a literal
+    exhaustive certificate; ``subsets_tested`` counts the subsets. Each size
+    is enumerated by smallest element, in lexicographic order. A subset
+    whose last vertex is no trigger of the closed prefix (module docstring)
+    is counted without a closure; the others are closure-tested.
 
     Budgets turn the result inconclusive instead of wrong; ``bounds`` then
     reports a proven lower bound and the best known upper bound.
-    ``budget_subsets`` caps ``subsets_tested``. Exhausting every size up to
+    ``budget_subsets`` caps ``subsets_tested`` exactly, also inside a
+    bulk-counted run of subsets. ``budget_secs`` is measured on the
+    monotonic clock and read at least once per 512 closures of the wavefront
+    and once per prefix of the enumeration. Exhausting every size up to
     ``max_k`` gives the lower bound max_k + 1. When a budget stops the
     wavefront in the bucket of cost c, every cheaper state was expanded and
     none of cost c is full, so the lower bound is c + 1; in the certificate
-    mode it is the size being enumerated. A budget that stops the witness
-    level leaves bounds (z, z) and no witness.
+    mode it is the size being enumerated. No lower bound is below
+    max(1, minimum degree). A budget that stops the witness level leaves
+    bounds (z, z) and no witness. A negative ``max_k`` or
+    ``budget_subsets``, or a ``budget_secs`` that is negative or not
+    finite, raises ``ValueError``.
     """
     n = len(graph)
     if n == 0:
         raise ValueError("empty graph")
+    if budget_secs is not None and not (math.isfinite(budget_secs) and budget_secs >= 0):
+        raise ValueError(f"budget_secs must be finite and at least 0, not {budget_secs}")
+    if budget_subsets is not None and budget_subsets < 0:
+        raise ValueError(f"budget_subsets must be at least 0, not {budget_subsets}")
+    if max_k is not None and max_k < 0:
+        raise ValueError(f"max_k must be at least 0, not {max_k}")
     opted_in = max_k is not None or budget_subsets is not None or budget_secs is not None
     if n > DEFAULT_VERTEX_LIMIT and not opted_in:
         raise ResourceLimitError(
@@ -254,28 +323,32 @@ def solve_exact(graph: Graph, *, max_k: Optional[int] = None,
     except ValueError:
         upper = n
     started = time.monotonic()
-    deadline = time.time() + budget_secs if budget_secs is not None else None
+    deadline = started + budget_secs if budget_secs is not None else None
     tested_total = 0
     k_start = max(1, graph.min_degree())
     k_stop = min(max_k, n) if max_k is not None else n
 
-    def finish(z, witness_ids, status, bounds):
-        witness = (tuple(graph.vertices[i] for i in witness_ids)
-                   if witness_ids is not None else None)
+    def finish(z, witness_ids):
+        witness = tuple(graph.vertices[i] for i in witness_ids)
         return SolveResult(z=z, witness=witness, subsets_tested=tested_total,
-                           elapsed=time.monotonic() - started, status=status,
-                           bounds=bounds)
+                           elapsed=time.monotonic() - started, status="exact",
+                           bounds=(z, z))
+
+    def inconclusive(low):
+        # no set below the minimum degree forces, whatever stopped the search
+        low = max(low, k_start)
+        return SolveResult(z=None, witness=None, subsets_tested=tested_total,
+                           elapsed=time.monotonic() - started, status="inconclusive",
+                           bounds=(low, max(upper, low)))
 
     levels = range(k_start, k_stop + 1)
     if prune:
         z, low, high, tested_total = _wavefront(
             masks, full, min(k_stop, upper), deadline, budget_subsets)
         if z is None:
-            if low <= k_stop:  # a budget stopped the search
-                low = max(low, k_start)
             if high is not None:
                 upper = min(upper, high)
-            return finish(None, None, "inconclusive", (low, max(upper, low)))
+            return inconclusive(low)
         levels, upper = (z,), z
     for k in levels:
         for first in range(n - k + 1):
@@ -284,13 +357,12 @@ def solve_exact(graph: Graph, *, max_k: Optional[int] = None,
                                                          deadline, cap)
             tested_total += tested
             if witness_ids is not None:
-                return finish(k, witness_ids, "exact", (k, k))
+                return finish(k, witness_ids)
             if aborted:
                 # this size was cut short, so only sizes below k are ruled out
-                return finish(None, None, "inconclusive", (k, max(upper, k)))
+                return inconclusive(k)
         if budget_subsets is not None and tested_total >= budget_subsets:
-            return finish(None, None, "inconclusive", (k + 1, max(upper, k + 1)))
+            return inconclusive(k + 1)
     if k_stop < n:
-        return finish(None, None, "inconclusive", (k_stop + 1, max(upper, k_stop + 1)))
+        return inconclusive(k_stop + 1)
     raise AssertionError("unreachable: the full vertex set always forces")
-

@@ -68,6 +68,21 @@ def reference_zero_forcing_number(graph):
     raise AssertionError("unreachable: the whole vertex set forces")
 
 
+def reference_literal_count(graph):
+    """Literal exhaustion with itertools and the naive closure: returns
+    (z, witness, subsets of sizes max(1, minimum degree) to z up to and
+    including the lexicographically first forcing one)."""
+    verts = list(graph.vertices)
+    start = max(1, min(len(graph.adjacency[v]) for v in verts))
+    count = 0
+    for k in range(start, len(verts) + 1):
+        for subset in itertools.combinations(verts, k):
+            count += 1
+            if len(naive_closure(graph, subset)) == len(verts):
+                return k, subset, count
+    raise AssertionError("unreachable: the whole vertex set forces")
+
+
 def random_graph(size, rng, p=0.4):
     """Labelled graph on vertices 0..size-1 with independent edges."""
     edges = [(i, j) for i in range(size) for j in range(i + 1, size)

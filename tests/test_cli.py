@@ -316,3 +316,30 @@ def test_malformed_pairs_exit_two(capsys, tmp_path, key, bad):
     assert code == 2
     assert out == ""
     assert manifest["error_type"] == "DocumentError"
+
+
+@pytest.mark.parametrize("flag, value", [("--budget-secs", "nan"), ("--budget-secs", "-1"),
+                                         ("--budget-subsets", "-1"), ("--max-k", "-3")])
+def test_solve_bad_budget_exits_two(capsys, tmp_path, flag, value):
+    _, doc, _ = run_cli(capsys, "build", "hypercube", "-n", "3")
+    path = tmp_path / "q3.json"
+    path.write_text(doc)
+    code, out, manifest = run_cli(capsys, "solve", "--input", str(path), flag, value)
+    assert code == 2
+    assert out == ""
+    assert manifest["outcome"] == "error"
+    assert manifest["error_type"] == "ValueError"
+
+
+def test_exact_search_oracles_pass(capsys, monkeypatch, tmp_path):
+    # the benchmark's exact-search operations, checked by its own oracles
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    gen = importlib.import_module("gen")
+    workloads = importlib.import_module("workloads")
+    assert gen.main(["exact-search", "7", str(tmp_path)]) == 0
+    rounds = workloads.load(tmp_path)
+    assert rounds and all(rounds)
+    for op in (op for round_ in rounds for op in round_):
+        code = main(op.argv)
+        out = capsys.readouterr().out
+        assert op.check(code, out) is None, (op.instance, op.argv)

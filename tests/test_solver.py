@@ -1,9 +1,13 @@
+import itertools
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 
-from helpers import naive_closure, random_graph, reference_zero_forcing_number
+from helpers import (naive_closure, random_graph, reference_literal_count,
+                     reference_zero_forcing_number)
+from zfcubes import solver
 from zfcubes import (ResourceLimitError, TwistSpec, build_hypercube,
                      build_minority_cube, build_twisted, complete_graph,
                      is_zero_forcing_set, lower_bound, solve_exact, upper_bound)
@@ -149,28 +153,91 @@ def test_wavefront_matches_reference_on_random_graphs():
 
 def test_inconclusive_results_bracket_z():
     rng = random.Random(41)
-    cases = [(build_minority_cube(5).graph, 13), (build_hypercube(4), 8)]
+    cases = [(build_minority_cube(5).graph, 13, True), (build_hypercube(4), 8, True)]
     for _ in range(20):
         g = random_graph(rng.randint(6, 9), rng)
-        cases.append((g, reference_zero_forcing_number(g)[0]))
-    for g, z in cases:
-        tested = solve_exact(g).subsets_tested
+        cases.append((g, reference_zero_forcing_number(g)[0], True))
+    # the certificate mode, whose leaves are counted in bulk
+    cases += [(g, z, False) for g, z, _ in cases[1:]]
+    for g, z, prune in cases:
+        tested = solve_exact(g, prune=prune).subsets_tested
         runs = [({"max_k": z - 1}, None)]
-        # the last budget stops the witness level after the wavefront found z
+        # the last budget stops one short of the witness; with the wavefront
+        # that is inside the witness level, after it found z
         runs += [({"budget_subsets": cap}, cap)
                  for cap in (0, 1, tested // 3, tested // 2, tested - 1)]
         if tested > 512:  # the deadline is read every 512 closures
             runs.append(({"budget_secs": 0.0}, None))
         for kwargs, cap in runs:
-            result = solve_exact(g, **kwargs)
+            result = solve_exact(g, prune=prune, **kwargs)
             assert (result.status, result.z, result.witness) == ("inconclusive", None, None)
             lo, hi = result.bounds
             assert lo <= z <= hi, (kwargs, result.bounds, z)
             if cap is not None:
                 assert result.subsets_tested <= cap
-        assert solve_exact(g, max_k=z - 1).bounds[0] == z
-        assert solve_exact(g, budget_subsets=tested - 1).bounds == (z, z)
-        assert solve_exact(g, budget_subsets=tested).z == z
+                # every subset is counted, so a cap stops the count exactly
+                assert prune or result.subsets_tested == cap
+        assert solve_exact(g, max_k=z - 1, prune=prune).bounds[0] == z
+        if prune:
+            assert solve_exact(g, budget_subsets=tested - 1).bounds == (z, z)
+        else:
+            assert solve_exact(g, budget_subsets=tested - 1, prune=False).bounds[0] == z
+        assert solve_exact(g, budget_subsets=tested, prune=prune).z == z
+    # Q5's first 4-prefix has 28 leaves; these caps fall inside bulk-counted runs
+    q5 = build_hypercube(5)
+    for cap, bounds in ((1, (5, 16)), (27, (5, 16)), (1000, (5, 16)),
+                        (150001, (5, 16)), (201375, (5, 16)), (201376, (6, 16))):
+        result = solve_exact(q5, max_k=5, budget_subsets=cap, prune=False)
+        assert (result.status, result.subsets_tested, result.bounds) == (
+            "inconclusive", cap, bounds)
+
+
+def test_literal_count_matches_reference():
+    rng = random.Random(0x11E)
+    graphs = [random_graph(rng.randint(1, 9), rng, p=rng.choice((0.1, 0.2, 0.4, 0.7)))
+              for _ in range(300)]
+    graphs += [build_twisted(TwistSpec.random(4, rng)) for _ in range(6)]
+    for g in graphs:
+        result = solve_exact(g, prune=False)
+        z, witness, count = reference_literal_count(g)
+        assert (result.z, result.witness, result.subsets_tested) == (z, witness, count)
+
+
+def test_literal_count_of_five_cubes_below_their_minimum():
+    cubes = [build_hypercube(5), build_minority_cube(5).graph,
+             build_twisted(TwistSpec.random(5, random.Random(5)))]
+    for g in cubes:
+        result = solve_exact(g, max_k=5, prune=False)
+        assert (result.status, result.subsets_tested, result.bounds) == (
+            "inconclusive", 201376, (6, 16))  # C(32, 5) subsets
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"budget_secs": float("nan")}, {"budget_secs": float("inf")}, {"budget_secs": -1.0},
+    {"budget_subsets": -1}, {"max_k": -1}])
+def test_bad_budgets_raise(kwargs):
+    with pytest.raises(ValueError):
+        solve_exact(build_hypercube(4), **kwargs)
+
+
+def test_deadline_ignores_the_wall_clock(monkeypatch):
+    wall = itertools.count(0, 1000)
+    monkeypatch.setattr(solver, "time", SimpleNamespace(time=lambda: next(wall),
+                                                        monotonic=time.monotonic))
+    for prune in (True, False):
+        assert solve_exact(build_hypercube(4), budget_secs=60, prune=prune).z == 8
+
+
+def test_lower_bound_is_at_least_the_minimum_degree():
+    graphs = [build_hypercube(3), build_hypercube(4), build_minority_cube(4).graph,
+              build_twisted(TwistSpec.random(5, random.Random(9)))]
+    for g in graphs:
+        start = max(1, g.min_degree())
+        for max_k in range(g.min_degree()):
+            for prune in (True, False):
+                result = solve_exact(g, max_k=max_k, prune=prune)
+                assert result.status == "inconclusive"
+                assert result.bounds[0] == start, (max_k, prune, result.bounds)
 
 
 @pytest.mark.parametrize("prune", [True, False])
