@@ -110,14 +110,14 @@ def validate_arcset(arcset: ArcSet) -> list[str]:
 
     An empty list means the arc set is well formed.
     """
-    host = arcset.host
+    idx, nbr = arcset.host.index, arcset.host.neighbor_ids
     problems = []
     reported_reverse = set()
     for u, v in arcset.sorted_arcs():
-        if u not in host or v not in host:
+        if u not in idx or v not in idx:
             problems.append(f"arc {u!r}->{v!r}: endpoint is not a vertex of the host")
             continue
-        if v not in host.adjacency[u]:
+        if idx[v] not in nbr[idx[u]]:
             problems.append(f"arc {u!r}->{v!r}: {u!r}-{v!r} is not an edge of the host")
         if (v, u) in arcset.arcs and (v, u) not in reported_reverse:
             problems.append(f"arc {u!r}->{v!r}: the reverse arc is also present")
@@ -158,8 +158,7 @@ def decompose(arcset: ArcSet) -> ChainDecomposition:
         chains.append(tuple(chain))
         covered.update(chain)
     if len(covered) != len(host):
-        leftover = min((v for v in host.vertices if v not in covered),
-                       key=host.index.__getitem__)
+        leftover = next(v for v in host.vertices if v not in covered)
         raise ArcStructureError(
             f"arcs through vertex {leftover!r} form a directed cycle", vertex=leftover)
     arcset._chains = ChainDecomposition(tuple(chains))
@@ -183,12 +182,12 @@ def is_chain_twist(arcset: ArcSet, cycle: Sequence) -> bool:
         raise ValueError("a chain twist needs at least three vertices")
     if len(set(cyc)) != len(cyc):
         raise ValueError("cycle vertices must be distinct")
-    host = arcset.host
+    idx, nbr = arcset.host.index, arcset.host.neighbor_ids
     for i, v in enumerate(cyc):
-        if v not in host:
+        if v not in idx:
             raise ValueError(f"{v!r} is not a vertex of the host")
         nxt = cyc[(i + 1) % len(cyc)]
-        if nxt not in host.adjacency[v]:
+        if idx.get(nxt) not in nbr[idx[v]]:
             raise ValueError(f"{v!r}-{nxt!r} is not an edge of the host; not a cycle")
     return _twisted_sequence(arcset.arcs, cyc, cyclic=True)
 
@@ -204,12 +203,12 @@ def is_chain_twist_path(arcset: ArcSet, path: Sequence) -> bool:
         raise ValueError("empty path")
     if len(set(seq)) != len(seq):
         raise ValueError("path vertices must be distinct")
-    host = arcset.host
+    idx, nbr = arcset.host.index, arcset.host.neighbor_ids
     for v in seq:
-        if v not in host:
+        if v not in idx:
             raise ValueError(f"{v!r} is not a vertex of the host")
     for a, b in zip(seq, seq[1:]):
-        if b not in host.adjacency[a]:
+        if idx[b] not in nbr[idx[a]]:
             raise ValueError(f"{a!r}-{b!r} is not an edge of the host; not a path")
     if len(seq) <= 2:
         return True

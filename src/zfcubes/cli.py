@@ -12,6 +12,7 @@ payload and is byte-identical across identical invocations.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -194,7 +195,9 @@ def cmd_export(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process, so handlers are named and looked up when called
     parser = argparse.ArgumentParser(
         prog="zfcubes",
         description="Construct twisted hypercubes, run zero forcing, verify "
@@ -206,7 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
     build.add_argument("-n", type=int, default=None, help="dimension")
     build.add_argument("--spec-file", default=None, help="twist plan JSON for twisted-from-spec")
     build.add_argument("--output", default=None)
-    build.set_defaults(handler=cmd_build)
+    build.set_defaults(handler="cmd_build")
 
     verify = sub.add_parser("verify", help="check a set, an arc set, or twist-freeness")
     verify.add_argument("mode", choices=["set", "arcs", "twist"])
@@ -224,14 +227,14 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--no-prune", action="store_true",
                        help="closure-test every subset (literal exhaustion)")
     solve.add_argument("--output", default=None)
-    solve.set_defaults(handler=cmd_solve)
+    solve.set_defaults(handler="cmd_solve")
 
     export = sub.add_parser("export", help="re-emit a document as JSON or DOT")
     export.add_argument("--input", required=True)
     export.add_argument("--format", choices=["json", "dot"], default="json")
     export.add_argument("--dot", action="store_true", help="shorthand for --format dot")
     export.add_argument("--output", default=None)
-    export.set_defaults(handler=cmd_export)
+    export.set_defaults(handler="cmd_export")
     return parser
 
 
@@ -242,7 +245,7 @@ def _add_verify_options(sub_parser) -> None:
                             help="comma-separated initial vertices (mode 'set')")
     sub_parser.add_argument("--method", choices=["auto", "exhaustive", "walk"],
                             default="auto", help="twist detector (mode 'twist')")
-    sub_parser.set_defaults(handler=cmd_verify)
+    sub_parser.set_defaults(handler="cmd_verify")
 
 
 def main(argv=None) -> int:
@@ -260,7 +263,7 @@ def main(argv=None) -> int:
             _write_manifest("error", started)
         return code
     try:
-        code = args.handler(args)
+        code = globals()[args.handler](args)
     except (DocumentError, MatchingError, ResourceLimitError, ValueError,
             RecursionError, MemoryError, KeyboardInterrupt) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -83,7 +83,7 @@ def replay_trace(trace: ForcingTrace) -> frozenset:
     for step, (u, v) in enumerate(trace.forces):
         if u not in blue:
             raise ValueError(f"step {step}: forcer {u!r} is not blue")
-        whites = [w for w in graph.adjacency[u] if w not in blue]
+        whites = [w for w in graph.neighbors(u) if w not in blue]
         if whites != [v]:
             raise ValueError(
                 f"step {step}: {u!r} has white neighbours {sorted(map(repr, whites))}, "

@@ -30,7 +30,7 @@ from json.encoder import encode_basestring_ascii
 
 from .arcsets import ArcSet
 from .errors import DocumentError
-from .graphs import Graph, twisted_edges, vertex_id
+from .graphs import Graph, twisted_edges
 
 _RESERVED_KEYS = ("dimension", "vertices", "edges", "arcs", "twisted_edges", "set")
 
@@ -43,10 +43,6 @@ class GraphDocument:
     arcs: ArcSet | None = None
     initial_set: tuple | None = None
     extras: dict = field(default_factory=dict)
-
-
-def _is_bit_vertex(v) -> bool:
-    return isinstance(v, str) and not v.strip("01")
 
 
 def to_json_document(graph: Graph, arcs: ArcSet | None = None,
@@ -137,13 +133,13 @@ def from_json_document(data) -> GraphDocument:
     for i, v in enumerate(vertices):
         if not isinstance(v, str):
             _fail("vertex labels must be strings", f"vertices[{i}]")
-        if dimension is not None and (len(v) != dimension or not _is_bit_vertex(v)):
+        if dimension is not None and (len(v) != dimension or v.strip("01")):
             _fail(f"vertex {v!r} is not a {dimension}-bit string", f"vertices[{i}]")
-    if len(set(vertices)) != len(vertices):
+    known = set(vertices)
+    if len(known) != len(vertices):
         _fail("duplicate vertex labels", "vertices")
     if dimension is not None:
-        vertices = sorted(vertices, key=vertex_id)
-    known = set(vertices)
+        vertices = sorted(vertices)  # equal-length bit strings: text order is id order
 
     def pair_list(key: str, required: bool):
         raw = data.get(key)
@@ -158,7 +154,7 @@ def from_json_document(data) -> GraphDocument:
         if set(map(type, raw)) <= {list} and set(map(len, raw)) <= {2}:
             members = list(chain.from_iterable(raw))
             if set(map(type, members)) <= {str} and known.issuperset(members):
-                return list(map(tuple, raw))
+                return raw
         pairs = []
         for i, item in enumerate(raw):
             if (not isinstance(item, list) or len(item) != 2
@@ -238,20 +234,21 @@ def from_dot(text: str) -> GraphDocument:
     edges: list[tuple[str, str]] = []
     arcs: list[tuple[str, str]] = []
     for lineno, line in enumerate(lines[1:-1], start=2):
-        m = _DOT_DIMENSION.match(line)
-        if m:
-            dimension = int(m.group(1))
-            continue
-        m = _DOT_VERTEX.match(line)
-        if m:
-            vertices.append(m.group(1))
-            continue
+        # edge statements are most of a file; no line matches two patterns
         m = _DOT_EDGE.match(line)
         if m:
             u, op, v = m.groups()
             edges.append((u, v))
             if op == "->":
                 arcs.append((u, v))
+            continue
+        m = _DOT_VERTEX.match(line)
+        if m:
+            vertices.append(m.group(1))
+            continue
+        m = _DOT_DIMENSION.match(line)
+        if m:
+            dimension = int(m.group(1))
             continue
         raise DocumentError(f"unrecognised statement {line!r}", location=f"line {lineno}")
     if not vertices:

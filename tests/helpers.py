@@ -83,6 +83,49 @@ def reference_literal_count(graph):
     raise AssertionError("unreachable: the whole vertex set forces")
 
 
+def reference_adjacency(vertices, edges):
+    """Label-set adjacency built from scratch: every vertex maps to the set
+    of labels it shares an edge with, whatever the edges' order, direction
+    or repetition. Expects edges without loops or unknown endpoints."""
+    adjacency = {v: set() for v in vertices}
+    for u, v in edges:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    return adjacency
+
+
+def reference_is_connected(adjacency):
+    """Breadth-first search over label sets."""
+    if not adjacency:
+        return True
+    start = next(iter(adjacency))
+    seen, frontier = {start}, [start]
+    while frontier:
+        found = []
+        for u in frontier:
+            for w in adjacency[u]:
+                if w not in seen:
+                    seen.add(w)
+                    found.append(w)
+        frontier = found
+    return len(seen) == len(adjacency)
+
+
+def reference_twisted_cube(spec):
+    """(vertices, edges) of a twisted hypercube by the plan's recursion over
+    label strings: the left child's labels get '0' appended, the right
+    child's '1', and a0 is joined to matching[a]1."""
+    if spec.is_leaf:
+        return [""], []
+    left_verts, left_edges = reference_twisted_cube(spec.left)
+    right_verts, right_edges = reference_twisted_cube(spec.right)
+    verts = [v + "0" for v in left_verts] + [v + "1" for v in right_verts]
+    edges = [(a + "0", b + "0") for a, b in left_edges]
+    edges += [(a + "1", b + "1") for a, b in right_edges]
+    edges += [(a + "0", spec.matching[a] + "1") for a in left_verts]
+    return verts, edges
+
+
 def random_graph(size, rng, p=0.4):
     """Labelled graph on vertices 0..size-1 with independent edges."""
     edges = [(i, j) for i in range(size) for j in range(i + 1, size)

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from helpers import (naive_closure, random_dipath_arcset, random_graph,
-                     random_oriented_arcset, reference_is_forcing_arc_set,
-                     reference_walk_cycle_exists)
+                     random_oriented_arcset, reference_adjacency,
+                     reference_is_forcing_arc_set, reference_walk_cycle_exists)
 from zfcubes import (ArcSet, ArcStructureError, ResourceLimitError, TwistSpec,
                      build_hypercube, build_minority_cube, build_twisted, closure,
                      complete_graph, cycle_graph, decompose, find_chain_twist,
@@ -293,3 +293,34 @@ def test_sorted_arcs_order_and_unknown_endpoints():
                                   ("x", 0), ("y", 0), ("z", 0), ("x", 2)]
     arcs.sorted_arcs().clear()
     assert list(arcs) == arcs.sorted_arcs() and len(arcs.sorted_arcs()) == 9
+
+
+def test_edge_membership_matches_label_sets():
+    rng = random.Random(606)
+    for _ in range(150):
+        base = random_graph(rng.randint(2, 9), rng, p=rng.choice((0.2, 0.5, 0.8)))
+        g = base.relabel(lambda i: f"v{i}")
+        adj = reference_adjacency(g.vertices, g.edges())
+        verts = list(g.vertices)
+        pairs = [(u, v) for u in verts for v in verts if u != v and rng.random() < 0.3]
+        arcset = ArcSet(g, pairs + [("v0", "w")])
+        got = [m for m in validate_arcset(arcset) if "not an edge" in m]
+        assert got == [f"arc {u!r}->{v!r}: {u!r}-{v!r} is not an edge of the host"
+                       for u, v in arcset.sorted_arcs()
+                       if u in adj and v in adj and v not in adj[u]]
+        seq = rng.sample(verts, rng.randint(2, len(verts)))
+        missing = [(a, b) for a, b in zip(seq, seq[1:]) if b not in adj[a]]
+        if missing:
+            with pytest.raises(ValueError, match="is not an edge of the host; not a path"):
+                is_chain_twist_path(arcset, seq)
+        else:
+            is_chain_twist_path(arcset, seq)
+        if len(seq) >= 3:
+            missing = [(a, b) for a, b in zip(seq, seq[1:] + seq[:1]) if b not in adj[a]]
+            if missing:
+                a, b = missing[0]
+                with pytest.raises(ValueError) as err:
+                    is_chain_twist(arcset, seq)
+                assert str(err.value) == f"{a!r}-{b!r} is not an edge of the host; not a cycle"
+            else:
+                is_chain_twist(arcset, seq)

@@ -1,11 +1,15 @@
 import importlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from zfcubes import arcsets, cli
+from zfcubes import (arcsets, build_minority_cube, cli, dumps_json_document,
+                     from_json_document)
 from zfcubes.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -343,3 +347,41 @@ def test_exact_search_oracles_pass(capsys, monkeypatch, tmp_path):
         code = main(op.argv)
         out = capsys.readouterr().out
         assert op.check(code, out) is None, (op.instance, op.argv)
+
+
+def test_parser_is_reused_without_changing_any_run(capsys, tmp_path):
+    cube = build_minority_cube(4)
+    path = tmp_path / "m4.json"
+    path.write_text(dumps_json_document(cube.graph, cube.arcs))
+    runs = [["build", "nonsense", "-n", "3"],
+            ["verify", "set", "--input", str(path), "--set", ",".join(cube.zero_forcing_set())],
+            ["build", "hypercube", "-n", "3"]]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    for argv in runs:
+        code = main(argv)
+        out = capsys.readouterr().out
+        fresh = subprocess.run([sys.executable, "-m", "zfcubes.cli", *argv], env=env,
+                               capture_output=True, text=True)
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
+    assert [main(argv) for argv in runs] == [2, 0, 0]
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_label_views_stay_unbuilt(capsys, monkeypatch, tmp_path):
+    cube = build_minority_cube(10)
+    path = tmp_path / "m10.json"
+    path.write_text(dumps_json_document(cube.graph, cube.arcs,
+                                       initial_set=cube.zero_forcing_set()))
+    loaded = []
+
+    def load(text):
+        loaded.append(from_json_document(text))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "from_json_document", load)
+    for argv in (["verify", "arcs"], ["verify", "twist", "--method", "walk"],
+                 ["verify", "set"], ["export", "--dot"]):
+        assert main([*argv, "--input", str(path)]) == 0, argv
+        assert "adjacency" not in loaded[-1].graph.__dict__, argv
+        assert "edge_keys" not in loaded[-1].graph.__dict__, argv
+    assert len(loaded) == 4

@@ -1,14 +1,18 @@
+import gc
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import (reference_adjacency, reference_is_connected,
+                     reference_twisted_cube)
 from zfcubes import (Graph, MatchingError, ResourceLimitError, TwistSpec,
-                     build_hypercube, build_twisted, cartesian_product,
+                     bitstrings, build_hypercube, build_twisted, cartesian_product,
                      complete_graph, hamming_distance, identity_matching,
                      path_graph, transposition_matching, twin, twisted_edges,
                      vertex_id)
+from zfcubes.minority import minority_twist_spec
 
 
 def test_hypercube_trivial():
@@ -174,3 +178,108 @@ def test_twisted_edges_skip_labels_that_are_not_comparable_bit_strings():
     assert twisted_edges(g) == [("11", "00")]
     with pytest.raises(ValueError):
         twisted_edges(path_graph(3))
+
+
+def _check_against_oracle(g, verts, edges):
+    adjacency = reference_adjacency(verts, edges)
+    pos = {v: i for i, v in enumerate(verts)}
+    assert g.vertices == tuple(verts)
+    assert g.neighbor_ids == tuple(tuple(sorted(pos[w] for w in adjacency[v]))
+                                   for v in verts)
+    assert g.adjacency == adjacency
+    assert g.edges() == sorted(((u, v) for u in verts for v in adjacency[u]
+                                if pos[u] < pos[v]),
+                               key=lambda e: (pos[e[0]], pos[e[1]]))
+    assert g.edge_keys == frozenset(frozenset((u, v)) for u, v in edges)
+    assert g.edge_count == len(g.edge_keys)
+    for v in verts:
+        assert g.degree(v) == len(adjacency[v])
+        assert g.neighbors(v) == sorted(adjacency[v], key=pos.__getitem__)
+    if verts:
+        assert g.min_degree() == min(map(len, adjacency.values()))
+    assert g.is_connected() == reference_is_connected(adjacency)
+
+
+def _random_labelled_edges(rng, verts, p):
+    # duplicates and reversed copies are kept; the graph stores each edge once
+    edges = [(u, v) for i, u in enumerate(verts) for v in verts[i + 1:]
+             if rng.random() < p]
+    edges += [(v, u) for u, v in edges if rng.random() < 0.3]
+    edges += [e for e in edges if rng.random() < 0.2]
+    rng.shuffle(edges)
+    return edges
+
+
+def test_id_core_matches_label_set_oracle():
+    rng = random.Random(2024)
+    for trial in range(200):
+        size = rng.randint(0, 14)
+        kind = trial % 3
+        if kind == 0:
+            verts = list(range(size))
+        elif kind == 1:
+            verts = [f"v{i}" for i in range(size)]
+        else:
+            verts = [format(i, "05b") for i in range(size)]
+        rng.shuffle(verts)
+        p = rng.choice((0.0, 0.1, 0.3, 0.6, 1.0))
+        edges = _random_labelled_edges(rng, verts, p)
+        _check_against_oracle(Graph(verts, edges), verts, edges)
+
+
+def test_product_labels_match_label_set_oracle():
+    rng = random.Random(77)
+    for _ in range(30):
+        gv = list(range(rng.randint(1, 5)))
+        hv = [f"x{i}" for i in range(rng.randint(1, 5))]
+        g = Graph(gv, _random_labelled_edges(rng, gv, 0.5))
+        h = Graph(hv, _random_labelled_edges(rng, hv, 0.5))
+        g_adj, h_adj = reference_adjacency(gv, g.edges()), reference_adjacency(hv, h.edges())
+        verts = [(u, x) for u in gv for x in hv]
+        edges = [((u, x), (v, x)) for u in gv for v in g_adj[u] for x in hv]
+        edges += [((u, x), (u, y)) for u in gv for x in hv for y in h_adj[x]]
+        _check_against_oracle(cartesian_product(g, h), verts, edges)
+
+
+def test_constructions_match_the_label_recursion():
+    rng = random.Random(31)
+    specs = [TwistSpec.identity(n) for n in range(7)]
+    specs += [TwistSpec.random(n, rng) for n in range(7) for _ in range(4)]
+    shared = TwistSpec.random(3, rng)
+    specs.append(TwistSpec(shared, shared, dict(zip(bitstrings(3), bitstrings(3)[::-1]))))
+    for spec in specs:
+        verts, edges = reference_twisted_cube(spec)
+        verts.sort(key=vertex_id)
+        g = build_twisted(spec)
+        assert g.dimension == spec.dimension
+        _check_against_oracle(g, verts, edges)
+    for n in range(7):
+        verts = bitstrings(n)
+        edges = [(u, v) for u in verts for v in verts if hamming_distance(u, v) == 1]
+        _check_against_oracle(build_hypercube(n), verts, edges)
+
+
+@pytest.mark.parametrize("vertices, edges, message", [
+    ([0, 1], [(0, 0)], "loop at 0"),
+    ([0, 1], [(0, 2)], "edge (0, 2) uses an unknown vertex"),
+    ([0, 1], [(2, 2)], "loop at 2"),
+    (["a", "b"], [("a", "b"), ("c", "a"), ("b", "b")], "edge ('c', 'a') uses an unknown vertex"),
+    (["a", "b"], [("a", "b"), ("b", "b"), ("c", "a")], "loop at 'b'"),
+    ([0, 0], [(0, 0), (0, 3)], "duplicate vertex labels"),
+])
+def test_graph_error_messages(vertices, edges, message):
+    with pytest.raises(ValueError) as err:
+        Graph(vertices, edges)
+    assert str(err.value) == message
+
+
+def test_build_twisted_leaves_no_reference_cycles():
+    spec = minority_twist_spec(10)
+    gc.collect()
+    gc.disable()
+    try:
+        build_twisted(spec)
+        build_hypercube(8)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -198,3 +198,30 @@ def test_malformed_pairs_are_located(bad, key):
     with pytest.raises(DocumentError) as err:
         from_json_document(json.dumps(doc))
     assert err.value.location == f"{key}[1]"
+
+
+def test_dot_statements_in_any_order():
+    text = "\n".join([
+        "graph mixed {",
+        '  "01";',
+        '  "00" -- "01";',
+        '  dimension="2";',
+        '  "00";',
+        '  "10" -> "00" [color=red];',
+        '  "11";',
+        '  "01" -> "11";',
+        '  "10";',
+        '  "11" -- "10";',
+        "}", ""])
+    doc = from_dot(text)
+    assert doc.graph.dimension == 2
+    assert doc.graph.vertices == ("01", "00", "11", "10")
+    assert doc.graph.edge_keys == frozenset(map(frozenset, [
+        ("00", "01"), ("10", "00"), ("01", "11"), ("11", "10")]))
+    assert doc.arcs.arcs == {("10", "00"), ("01", "11")}
+    for lineno, bad in ((2, '"00" -> ;'), (4, 'dimension=2;'), (5, '"0" "1";')):
+        lines = text.splitlines()
+        lines[lineno - 1] = "  " + bad
+        with pytest.raises(DocumentError) as err:
+            from_dot("\n".join(lines))
+        assert err.value.location == f"line {lineno}"
