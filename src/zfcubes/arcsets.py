@@ -10,7 +10,9 @@ consecutive steps are both non-arcs; a step against an arc's direction counts
 as a non-arc. An arc set can be realised as the complete force record of a
 successful zero forcing run exactly when it contains no chain twist, which is
 what :func:`is_forcing_arc_set` checks by greedy execution and
-:func:`find_chain_twist` checks by cycle search.
+:func:`find_chain_twist` checks by cycle search: exhaustive, or a walk that
+decides and extracts a witness in one O(|A| * Delta) pass over the graph whose
+nodes are the arcs, when no vertex has two outgoing arcs.
 
 :func:`_color_change` is the package's one colour-change kernel: the
 closure of a blue set (``forcing.closure``) and the execution of an arc set
@@ -245,31 +247,35 @@ def _simple_cycles(graph: Graph):
                 iters.append(iter(nbr[found]))
 
 
-def _walk_cycle_exists(arcset: ArcSet) -> bool:
-    """Is there a closed walk, without immediate edge reversal, in which every
-    non-arc step is preceded by a forward arc step?
+def _walk_twist(arcset: ArcSet) -> Optional[list]:
+    """Find a chain twist through the arc graph; return a witness cycle or None.
 
-    Such a walk exists exactly when a chain twist does. After the step
-    (u, v), a step on to w != u may follow a forward arc always, and anything
-    else only when (u, v) was a forward arc; so every closed walk passes
-    through arcs with at most one non-arc step between them. The question is
-    therefore decided on the graph whose nodes are the arcs: arc (u, v) leads
-    to arc (v, w) for w != u, and to every arc (w, x) with x != v for each w
-    in N(v) - {u} such that (v, w) is not an arc. Kahn peeling finds a cycle
-    there in O(|A| * Delta) time, Delta the host's maximum degree, when no
-    vertex has two outgoing arcs. Expects an arc set that passes
-    :func:`validate_arcset`.
+    A chain twist exists exactly when some closed walk without immediate edge
+    reversal has a forward arc on each side of every non-arc step: a cycle in
+    the graph whose nodes are the arcs, where (u, v) leads to (v, w) for
+    w != u, and to (w, x) for x != v and each w in N(v) - {u} with (v, w) not
+    an arc. Kahn peeling removes the arcs on no such cycle. Following
+    predecessors among the arcs left gives a cycle of arcs; each adds its
+    tail to the walk, and its head too when the next arc starts elsewhere.
+    The first repeated vertex of the walk closes a simple cycle, a chain
+    twist if one of its steps there is an arc. Otherwise both steps of the
+    rest of the walk there are arcs, in one direction since an edge carries
+    at most one arc; the cycle is cut out and the scan goes on.
+
+    Arcs are numbered in :meth:`ArcSet.sorted_arcs` order, so the witness
+    does not depend on hashing. Time is O(|A| * Delta * D), Delta the host's
+    maximum degree and D the largest out-degree. Expects an arc set that
+    passes :func:`validate_arcset`.
     """
     g = arcset.host
     nbr = g.neighbor_ids
     idx = g.index
-    tails: list[int] = []
-    heads: list[int] = []
+    arcs = arcset.sorted_arcs()
+    tails = [idx[u] for u, _ in arcs]
+    heads = [idx[v] for _, v in arcs]
     outs: list[tuple] = [()] * len(g)  # outs[v]: numbers of the arcs leaving v
-    for u, v in arcset.arcs:
-        outs[idx[u]] += (len(tails),)
-        tails.append(idx[u])
-        heads.append(idx[v])
+    for a, u in enumerate(tails):
+        outs[u] += (a,)
     succ = []
     indegree = [0] * len(tails)
     for u, v in zip(tails, heads):
@@ -286,56 +292,41 @@ def _walk_cycle_exists(arcset: ArcSet) -> bool:
             indegree[b] -= 1
             if not indegree[b]:
                 peeled.append(b)
-    return len(peeled) < len(tails)
-
-
-def _pruned_twist_search(arcset: ArcSet) -> Optional[list]:
-    """Find a simple chain twist by path search pruned with the step condition.
-
-    Paths are extended only while no two consecutive steps are non-arcs, in
-    both traversal directions of every cycle, so any chain twist that exists
-    is reached.
-    """
-    g = arcset.host
-    nbr = g.neighbor_ids
-    idx = g.index
-    verts = g.vertices
-    arc_ids = {(idx[u], idx[v]) for u, v in arcset.arcs}
-    n = len(g)
-    on_path = [False] * n
-    for root in range(n):
-        path = [root]
-        steps: list[bool] = []
-        on_path[root] = True
-        iters = [iter(nbr[root])]
-        while iters:
-            found = None
-            for w in iters[-1]:
-                is_arc = (path[-1], w) in arc_ids
-                if steps and not steps[-1] and not is_arc:
-                    continue
-                if w == root and len(path) >= 3:
-                    closing = is_arc
-                    if (steps[-1] or closing) and (closing or steps[0]):
-                        witness = [verts[i] for i in path]
-                        for i in path:
-                            on_path[i] = False
-                        return witness
-                elif w > root and not on_path[w]:
-                    found = (w, is_arc)
-                    break
-            if found is None:
-                iters.pop()
-                on_path[path.pop()] = False
-                if steps:
-                    steps.pop()
-            else:
-                w, is_arc = found
-                path.append(w)
-                steps.append(is_arc)
-                on_path[w] = True
-                iters.append(iter(nbr[w]))
-    return None
+    if len(peeled) == len(tails):
+        return None
+    pred = [-1] * len(tails)
+    for a, d in enumerate(indegree):
+        if d:
+            for b in succ[a]:
+                if indegree[b] and pred[b] < 0:
+                    pred[b] = a
+    a = next(a for a, d in enumerate(indegree) if d)
+    first_seen: dict = {}
+    while a not in first_seen:
+        first_seen[a] = len(first_seen)
+        a = pred[a]
+    cycle = list(first_seen)[first_seen[a]:][::-1]  # each arc leads to the next
+    walk = []  # (vertex, is the step leaving it an arc?)
+    for i, a in enumerate(cycle):
+        walk.append((tails[a], True))
+        if tails[cycle[(i + 1) % len(cycle)]] != heads[a]:
+            walk.append((heads[a], False))
+    stack: list[int] = []    # the walk so far, with each closed cycle cut out
+    arc_out: list[bool] = []  # is the step leaving stack[i] an arc?
+    at: dict = {}
+    for v, is_arc in walk:
+        p = at.get(v)
+        if p is None:
+            at[v] = len(stack)
+            stack.append(v)
+        else:
+            if arc_out[-1] or arc_out[p]:
+                return [g.vertices[w] for w in stack[p:]]
+            for w in stack[p + 1:]:
+                del at[w]
+            del stack[p + 1:], arc_out[p:]
+        arc_out.append(is_arc)
+    return [g.vertices[w] for w in stack]
 
 
 def find_chain_twist(arcset: ArcSet, method: str = "exhaustive") -> Optional[list]:
@@ -343,13 +334,13 @@ def find_chain_twist(arcset: ArcSet, method: str = "exhaustive") -> Optional[lis
 
     ``method="exhaustive"`` enumerates every simple cycle of the host and
     tests both traversal directions; it refuses hosts with more than
-    ``EXHAUSTIVE_VERTEX_LIMIT`` vertices. ``method="walk"`` first decides
-    existence on the graph whose nodes are the arcs (see
-    :func:`_walk_cycle_exists`): a chain twist exists exactly when that graph
-    has a cycle, which Kahn peeling decides in O(|A| * Delta) time for arc
-    sets without two arcs leaving one vertex, Delta being the host's maximum
-    degree. Only when a twist exists does it extract a witness, by a pruned
-    path search that can take time exponential in the host.
+    ``EXHAUSTIVE_VERTEX_LIMIT`` vertices. ``method="walk"`` decides and
+    extracts a witness in one pass over the graph whose nodes are the arcs
+    (see :func:`_walk_twist`): a chain twist exists exactly when that graph
+    has a cycle, and the witness is read off the arcs Kahn peeling leaves.
+    It takes O(|A| * Delta) time, Delta being the host's maximum degree, for
+    arc sets without two arcs leaving one vertex, and O(|A| * Delta * D) with
+    D the largest out-degree otherwise.
     """
     problems = validate_arcset(arcset)
     if problems:
@@ -371,12 +362,7 @@ def find_chain_twist(arcset: ArcSet, method: str = "exhaustive") -> Optional[lis
                 return rev
         return None
     if method == "walk":
-        if not _walk_cycle_exists(arcset):
-            return None
-        witness = _pruned_twist_search(arcset)
-        if witness is None:
-            raise RuntimeError("walk detector found a twist but no witness was extracted")
-        return witness
+        return _walk_twist(arcset)
     raise ValueError(f"unknown method {method!r}")
 
 

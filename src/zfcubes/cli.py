@@ -79,8 +79,9 @@ def _parse_twist_spec_file(text: str) -> TwistSpec:
             pass
         elif isinstance(entry, dict):
             for key, value in entry.items():
-                if key not in table:
-                    raise DocumentError(f"{key!r} is not a {level - 1}-bit string",
+                if key not in table or not isinstance(value, str) or value not in table:
+                    bad = value if key in table else key
+                    raise DocumentError(f"{bad!r} is not a {level - 1}-bit string",
                                         location=f"levels[{level - 1}]")
                 table[key] = value
         else:

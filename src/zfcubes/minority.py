@@ -41,7 +41,11 @@ class MinorityCube:
     graph: Graph
     arcs: ArcSet
     bridge_arc: tuple | None
-    twisted_edges: tuple
+
+    @cached_property
+    def twisted_edges(self) -> tuple:
+        """Twisted edges of the graph, computed on first use."""
+        return tuple(twisted_edges(self.graph))
 
     @cached_property
     def top_level_twisted_edges(self) -> tuple:
@@ -101,7 +105,6 @@ def build_minority_cube(n: int) -> MinorityCube:
         graph=graph,
         arcs=ArcSet(graph, arcs),
         bridge_arc=bridge_arc_at(n) if n >= 4 else None,
-        twisted_edges=tuple(twisted_edges(graph)),
     )
 
 

@@ -224,16 +224,19 @@ def from_dot(text: str) -> GraphDocument:
     """Parse the DOT dialect written by :func:`to_dot`."""
     if isinstance(text, (bytes, bytearray)):
         text = text.decode("utf-8", errors="replace")
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
-    if not lines or not _DOT_HEADER.match(lines[0]):
-        raise DocumentError("expected a 'graph <name> {' header", location="line 1")
+    lines = [line.strip() for line in text.splitlines()]
+    while lines and not lines[-1]:
+        lines.pop()
+    first = next((i for i, line in enumerate(lines) if line), 0)
+    if not lines or not _DOT_HEADER.match(lines[first]):
+        raise DocumentError("expected a 'graph <name> {' header", location=f"line {first + 1}")
     if lines[-1] != "}":
         raise DocumentError("expected a closing '}'", location=f"line {len(lines)}")
     dimension = None
     vertices: list[str] = []
     edges: list[tuple[str, str]] = []
     arcs: list[tuple[str, str]] = []
-    for lineno, line in enumerate(lines[1:-1], start=2):
+    for lineno, line in enumerate(lines[first + 1:-1], start=first + 2):
         # edge statements are most of a file; no line matches two patterns
         m = _DOT_EDGE.match(line)
         if m:
@@ -250,7 +253,8 @@ def from_dot(text: str) -> GraphDocument:
         if m:
             dimension = int(m.group(1))
             continue
-        raise DocumentError(f"unrecognised statement {line!r}", location=f"line {lineno}")
+        if line:  # blank lines are skipped but keep their numbers
+            raise DocumentError(f"unrecognised statement {line!r}", location=f"line {lineno}")
     if not vertices:
         raise DocumentError("no vertex statements found", location="body")
     try:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -11,7 +12,7 @@ from zfcubes import (ArcSet, ArcStructureError, ResourceLimitError, TwistSpec,
                      is_chain_twist, is_chain_twist_path, is_forcing_arc_set,
                      is_zero_forcing_set, product_arcset, trace_to_arcset,
                      validate_arcset)
-from zfcubes.arcsets import _walk_cycle_exists
+from zfcubes.arcsets import _walk_twist
 
 F3_ARCS = [("000", "100"), ("100", "110"), ("001", "101"), ("101", "111")]
 
@@ -137,16 +138,37 @@ def test_find_chain_twist_guard_and_walk_optin():
 
 
 def test_walk_witnesses_are_real_chain_twists():
+    # Dipath forests on random graphs and on random twisted cubes up to n=7;
+    # arbitrary orientations (out-degree above one) on both kinds of host.
     rng = random.Random(1234)
-    found = 0
-    for _ in range(200):
-        g = random_graph(rng.randint(3, 9), rng)
-        arcs = ArcSet(g, random_dipath_arcset(g, rng))
+    found = {}
+    for case in range(600):
+        kind = case % 4
+        if kind in (0, 2):
+            g = random_graph(rng.randint(3, 10), rng, p=rng.choice([0.3, 0.5, 0.8]))
+        else:
+            g = build_twisted(TwistSpec.random(rng.randint(3, 7 if kind == 1 else 6), rng))
+        if kind < 2:
+            arcs = ArcSet(g, random_dipath_arcset(g, rng, keep=rng.random()))
+        else:
+            arcs = ArcSet(g, random_oriented_arcset(g, rng, p=rng.choice([0.05, 0.2, 0.4])))
         witness = find_chain_twist(arcs, method="walk")
+        assert (witness is not None) == reference_walk_cycle_exists(arcs)
         if witness is not None:
-            found += 1
-            assert is_chain_twist(arcs, witness)
-    assert found > 10  # the corpus must actually exercise the witness path
+            found[kind] = found.get(kind, 0) + 1
+            assert is_chain_twist(arcs, witness), (case, witness)
+    # the corpus must actually exercise the witness path for every kind
+    assert min(found.get(kind, 0) for kind in range(4)) > 40, found
+
+
+def test_walk_witness_on_a_six_cube_forest_takes_under_a_second():
+    # verify twist walks every host over 16 vertices, so forests there must not stall.
+    g = build_hypercube(6)
+    arcs = ArcSet(g, random_dipath_arcset(g, random.Random(1)))
+    start = time.perf_counter()
+    witness = find_chain_twist(arcs, method="walk")
+    assert time.perf_counter() - start < 1.0
+    assert witness is not None and is_chain_twist(arcs, witness)
 
 
 def test_walk_detector_agrees_with_exhaustive_up_to_twelve_vertices():
@@ -255,7 +277,7 @@ def test_arc_graph_detector_matches_state_search_on_random_orientations():
         arcs = ArcSet(g, random_oriented_arcset(g, rng, p=rng.choice([0.1, 0.25, 0.4])))
         assert validate_arcset(arcs) == []
         expected = reference_walk_cycle_exists(arcs)
-        assert _walk_cycle_exists(arcs) == expected
+        assert (_walk_twist(arcs) is not None) == expected
         assert (find_chain_twist(arcs, method="walk") is not None) == expected
         outcomes.add(expected)
     assert outcomes == {True, False}
@@ -273,7 +295,7 @@ def test_arc_graph_detector_matches_state_search_on_cubes():
             s = {v for v in g.vertices if rng.random() < rng.choice([0.3, 0.5, 0.7])}
             arcs = trace_to_arcset(closure(g, s))
         expected = reference_walk_cycle_exists(arcs)
-        assert _walk_cycle_exists(arcs) == expected
+        assert (_walk_twist(arcs) is not None) == expected
         outcomes.add(expected)
     assert outcomes == {True, False}
 
@@ -281,7 +303,7 @@ def test_arc_graph_detector_matches_state_search_on_cubes():
 def test_minority_cubes_are_twist_free_to_dimension_ten():
     for n in range(3, 11):
         arcs = build_minority_cube(n).arcs
-        assert not _walk_cycle_exists(arcs)
+        assert _walk_twist(arcs) is None
         assert not reference_walk_cycle_exists(arcs)
 
 

@@ -2,14 +2,16 @@ import importlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from zfcubes import (arcsets, build_minority_cube, cli, dumps_json_document,
-                     from_json_document)
+from helpers import random_dipath_arcset
+from zfcubes import (ArcSet, TwistSpec, arcsets, build_minority_cube, build_twisted, cli,
+                     dumps_json_document, find_chain_twist, from_json_document)
 from zfcubes.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -69,11 +71,14 @@ def test_build_twisted_from_spec(capsys, tmp_path):
 
 def test_build_twisted_from_bad_spec(capsys, tmp_path):
     spec = tmp_path / "plan.json"
-    spec.write_text('{"levels": [{"0": "1"}]}')  # breaks the bijection
-    code, _, manifest = run_cli(capsys, "build", "twisted-from-spec",
-                                "--spec-file", str(spec))
-    assert code == 2
-    assert manifest["inputs"]
+    for text in ('{"levels": [{"0": "1"}]}',       # breaks the bijection
+                 '{"levels": [{"": [1]}]}',        # values must be bit strings
+                 '{"levels": [{"": {"a": 1}}]}'):
+        spec.write_text(text)
+        code, _, manifest = run_cli(capsys, "build", "twisted-from-spec",
+                                    "--spec-file", str(spec))
+        assert code == 2, text
+        assert manifest["inputs"]
 
 
 def test_verify_arcs_on_minority_ten(capsys, tmp_path):
@@ -94,6 +99,26 @@ def test_verify_twist_on_minority_four(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "verify", "twist", "--input", str(path))
     assert code == 0
     assert "no chain twist" in out
+
+
+def test_walk_witness_does_not_depend_on_the_hash_seed(tmp_path):
+    rng = random.Random(6)
+    g = build_twisted(TwistSpec.random(6, rng))
+    arcs = ArcSet(g, random_dipath_arcset(g, rng))
+    assert find_chain_twist(arcs, method="walk") is not None
+    path = tmp_path / "forest.json"
+    path.write_text(dumps_json_document(g, arcs))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outs = []
+    for seed in ("1", "2"):
+        run = subprocess.run(
+            [sys.executable, "-m", "zfcubes.cli", "verify", "twist", "--input", str(path)],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            capture_output=True, text=True)
+        assert run.returncode == 1, run.stderr
+        outs.append(run.stdout)
+    assert outs[0].startswith("chain twist: ")
+    assert outs[0] == outs[1]
 
 
 def test_verify_arcs_fails_on_broken_structure(capsys, tmp_path):
@@ -278,8 +303,7 @@ def test_usage_error_exits_two(capsys):
     assert manifest["outcome"] == "error"
 
 
-def test_unparsable_workers_variable_is_ignored(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("ZFCUBES_WORKERS", "two")
+def test_build_writes_the_document_to_output_file(capsys, tmp_path):
     output = tmp_path / "q2.json"
     code, _, manifest = run_cli(capsys, "build", "hypercube", "-n", "2",
                                 "--output", str(output))

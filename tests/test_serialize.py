@@ -96,6 +96,12 @@ def test_dot_rejects_garbage():
     with pytest.raises(DocumentError) as err:
         from_dot('graph g {\n  "00" ~~ "01";\n}')
     assert "line 2" in str(err.value)
+    with pytest.raises(DocumentError) as err:  # blank lines keep their numbers
+        from_dot('graph g {\n\n  "0";\n\n  "0" ~~ "1";\n}')
+    assert "line 5" in str(err.value)
+    with pytest.raises(DocumentError) as err:
+        from_dot('\ngraph g {\n\n  "0";\n\n')
+    assert "line 4" in str(err.value)
 
 
 def test_non_string_labels_refuse_to_export():
