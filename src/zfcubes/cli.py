@@ -5,8 +5,10 @@ failure (set does not force, arcs do not execute, a chain twist exists, a
 solve stayed inconclusive), 2 for usage, parse, or domain errors, and for a
 run cut short by recursion depth, memory or an interrupt; the manifest then
 names the exception class as ``error_type``. Every invocation writes one
-machine-readable manifest line to stderr; stdout carries only the requested
-payload and is byte-identical across identical invocations.
+machine-readable manifest line to stderr. It carries the process's peak
+resident set size as ``peak_rss_mb`` and, for ``solve``, the ``engine`` it
+ran. Stdout carries only the requested payload and is byte-identical across
+identical invocations.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import argparse
 import functools
 import hashlib
 import json
+import resource
 import sys
 import time
 
@@ -167,6 +170,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    _manifest["engine"] = "certificate" if args.no_prune else "wavefront"
     doc = _load_document(args.input)
     result = solve_exact(doc.graph,
                          max_k=args.max_k,
@@ -276,6 +280,9 @@ def main(argv=None) -> int:
 
 def _write_manifest(outcome: str, started: float) -> None:
     _manifest["elapsed_secs"] = round(time.monotonic() - started, 3)
+    # ru_maxrss is in KiB on Linux: the process's peak so far, not this run's
+    _manifest["peak_rss_mb"] = round(
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     _manifest["outcome"] = outcome
     print(json.dumps(_manifest, sort_keys=True), file=sys.stderr)
 

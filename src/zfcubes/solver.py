@@ -21,9 +21,25 @@ sound because closure is monotone and idempotent. Alongside each closed
 prefix P goes its trigger mask: the white vertices whose addition can start
 a force. Adding any other vertex x leaves P | {x} closed and not full, so
 such a subset is decided without a closure: the leaves under a prefix are
-counted in bulk and only its triggers are closure-tested. The wavefront runs
-one level of this enumeration at k = z to return the same witness: the
-lexicographically least forcing set of size z.
+counted in bulk and only its triggers are closure-tested.
+
+The same rule decides whole subtrees. An *r-trigger* of a closed set P is a
+white vertex with at most r white neighbours, or a white neighbour of a blue
+vertex with at most r + 1 white neighbours; the triggers above are the
+1-triggers. If P != V is closed and R is a set of at most r vertices, none
+of them an r-trigger of P, then P | R is closed and not full. Proof: if a
+blue b in P had one white neighbour left, then b had c >= 2 of them in P,
+because P is closed, and R took c - 1 <= r of them, so they are r-triggers.
+If a w in R had one white neighbour left, it had at most 1 + (r - 1) in P.
+If P | R were full, R would hold every white vertex, each with at most
+r - 1 white neighbours. So at a prefix with r >= 2 slots left and next
+candidate x, the white vertices from x on are scanned from the top down,
+stopping at the first r-trigger w: no subset whose next vertex lies past w
+can force, and those subsets are counted with one binomial. The scan is
+skipped when r is at least the maximum degree, since every white vertex is
+then an r-trigger. The wavefront runs one level of this enumeration at
+k = z to return the same witness: the lexicographically least forcing set
+of size z.
 """
 
 from __future__ import annotations
@@ -200,37 +216,65 @@ def _triggers(masks, blue: int, full: int, scan: int) -> int:
     return trig
 
 
-def _search_first(masks, full: int, k: int, first: int,
+def _top_trigger(masks, blue: int, full: int, scan: int, r: int) -> int:
+    # The highest r-trigger of the closed set ``blue`` among the vertices of
+    # ``scan``, or -1: a white vertex with at most r white neighbours, or a
+    # white neighbour of a blue vertex with at most r + 1. Adding at most r
+    # vertices, none of them an r-trigger, leaves ``blue`` closed and not
+    # full (module docstring). The scan runs from the top down.
+    white = full ^ blue
+    scan &= white
+    while scan:
+        w = scan.bit_length() - 1
+        scan ^= 1 << w
+        if (masks[w] & white).bit_count() <= r:
+            return w
+        nb = masks[w] & blue
+        while nb:
+            low = nb & -nb
+            nb ^= low
+            if (masks[low.bit_length() - 1] & white).bit_count() <= r + 1:
+                return w
+    return -1
+
+
+def _search_first(masks, full: int, k: int, first: int, degree: int,
                   deadline: Optional[float], cap: Optional[int]):
     """Enumerate k-subsets whose smallest element is ``first``, in
     lexicographic order.
 
-    Returns (witness ids or None, leaves tested, aborted flag). Only the
-    leaves whose last vertex is a trigger of the prefix's closure are
-    closed; the others are counted in bulk.
+    Returns (witness ids or None, leaves tested, aborted flag). ``degree``
+    is the maximum degree. Only the leaves whose last vertex is a trigger of
+    the prefix's closure are closed; the others are counted in bulk. A
+    prefix with r >= 2 slots left descends only into next vertices up to its
+    highest r-trigger; the subsets past it are counted with one binomial.
     """
     n = len(masks)
-    base = _close_mask(masks, 1 << first, full)
     if k == 1:
         if cap is not None and cap <= 0:
             return None, 0, True
-        return ([first] if base == full else None), 1, False
+        return ([first] if _close_mask(masks, 1 << first, full) == full else None), 1, False
     tested = 0
-    chosen = [first]
-    stack = [base]  # stack[i] is the closure of chosen[:i + 1]
-    trig = [_triggers(masks, base, full, full)]  # trig[i]: the triggers of stack[i]
-    x = first + 1   # candidate for the next position
+    # Level d >= 1 holds chosen[d], the closure of chosen[1:d + 1], its
+    # triggers, and the last next vertex worth visiting. Level 0 is the empty
+    # prefix, whose one next vertex is first.
+    chosen = [first] * (k + 1)
+    stack = [0] * (k + 1)
+    trig = [_triggers(masks, 0, full, full)] * (k + 1)
+    ends = [first] * (k + 1)
+    d = 0
+    x = first   # candidate for the next position
     while True:
-        slots = k - len(chosen)
+        slots = k - d
         if slots == 1:
-            # the leaves chosen + [y] for y in [x, n), x < n
-            blue = stack[-1]
+            # the leaves chosen[1:d + 1] + [y] for y in [x, n), x < n
+            blue = stack[d]
             if blue == full:
                 if cap is not None and tested >= cap:
                     return None, tested, True
-                return chosen + [x], tested + 1, False
+                return chosen[1:d + 1] + [x], tested + 1, False
             pos = x
-            rest = trig[-1] >> x << x
+            rest = trig[d] >> x << x
             while rest:
                 low = rest & -rest
                 rest ^= low
@@ -239,15 +283,15 @@ def _search_first(masks, full: int, k: int, first: int,
                     return None, cap, True
                 tested += y - pos + 1
                 if _extend_closure(masks, blue, y, full) == full:
-                    return chosen + [y], tested, False
+                    return chosen[1:d + 1] + [y], tested, False
                 pos = y + 1
             if cap is not None and tested + n - pos > cap:
                 return None, cap, True
             tested += n - pos
             if deadline is not None and time.monotonic() > deadline:
                 return None, tested, True
-        elif x <= n - slots:
-            blue, t = stack[-1], trig[-1]
+        elif x <= ends[d]:
+            blue, t = stack[d], trig[d]
             bit = 1 << x
             if t & bit:
                 blue = _extend_closure(masks, blue, x, full)
@@ -257,16 +301,35 @@ def _search_first(masks, full: int, k: int, first: int,
                 # become triggers, and no trigger stops being one
                 blue |= bit
                 t |= _triggers(masks, blue, full, masks[x] | bit)
-            chosen.append(x)
-            stack.append(blue)
-            trig.append(t)
+            d += 1
+            chosen[d] = x
+            stack[d] = blue
+            trig[d] = t
             x += 1
+            r = slots - 1
+            if r >= 2:
+                last = n - r
+                # scan only where a cut is possible: more than one subset
+                # left, r below the maximum degree (else every white vertex
+                # is an r-trigger) and a closure that is not full; with no
+                # r-trigger from x on, every subset is past the end
+                if x < last and r < degree and blue != full:
+                    last = min(last, max(x - 1, _top_trigger(
+                        masks, blue, full, full >> x << x, r)))
+                ends[d] = last
             continue
-        if len(chosen) == 1:
+        elif ends[d] < n - slots:
+            # no subset whose next vertex lies past ends[d] can force
+            past = math.comb(n - 1 - ends[d], slots)
+            if cap is not None and tested + past > cap:
+                return None, cap, True
+            tested += past
+            if deadline is not None and time.monotonic() > deadline:
+                return None, tested, True
+        if d == 1:
             return None, tested, False
-        x = chosen.pop() + 1
-        stack.pop()
-        trig.pop()
+        x = chosen[d] + 1
+        d -= 1
 
 
 def solve_exact(graph: Graph, *, max_k: Optional[int] = None,
@@ -285,14 +348,19 @@ def solve_exact(graph: Graph, *, max_k: Optional[int] = None,
     exhaustive certificate; ``subsets_tested`` counts the subsets. Each size
     is enumerated by smallest element, in lexicographic order. A subset
     whose last vertex is no trigger of the closed prefix (module docstring)
-    is counted without a closure; the others are closure-tested.
+    is counted without a closure; the others are closure-tested. A prefix
+    with r >= 2 slots left is extended only by next vertices up to its
+    highest r-trigger; the subsets past it cannot force and are counted at
+    once.
 
     Budgets turn the result inconclusive instead of wrong; ``bounds`` then
     reports a proven lower bound and the best known upper bound.
     ``budget_subsets`` caps ``subsets_tested`` exactly, also inside a
     bulk-counted run of subsets. ``budget_secs`` is measured on the
     monotonic clock and read at least once per 512 closures of the wavefront
-    and once per prefix of the enumeration. Exhausting every size up to
+    and, in the enumeration, once per prefix whose subsets were counted:
+    after the leaves of each prefix with one slot left, and after each bulk
+    count past a highest r-trigger. Exhausting every size up to
     ``max_k`` gives the lower bound max_k + 1. When a budget stops the
     wavefront in the bucket of cost c, every cheaper state was expanded and
     none of cost c is full, so the lower bound is c + 1; in the certificate
@@ -342,6 +410,7 @@ def solve_exact(graph: Graph, *, max_k: Optional[int] = None,
                            bounds=(low, max(upper, low)))
 
     levels = range(k_start, k_stop + 1)
+    degree = max(map(int.bit_count, masks))
     if prune:
         z, low, high, tested_total = _wavefront(
             masks, full, min(k_stop, upper), deadline, budget_subsets)
@@ -353,7 +422,7 @@ def solve_exact(graph: Graph, *, max_k: Optional[int] = None,
     for k in levels:
         for first in range(n - k + 1):
             cap = budget_subsets - tested_total if budget_subsets is not None else None
-            witness_ids, tested, aborted = _search_first(masks, full, k, first,
+            witness_ids, tested, aborted = _search_first(masks, full, k, first, degree,
                                                          deadline, cap)
             tested_total += tested
             if witness_ids is not None:

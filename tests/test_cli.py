@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -409,3 +410,44 @@ def test_label_views_stay_unbuilt(capsys, monkeypatch, tmp_path):
         assert "adjacency" not in loaded[-1].graph.__dict__, argv
         assert "edge_keys" not in loaded[-1].graph.__dict__, argv
     assert len(loaded) == 4
+
+
+def test_every_manifest_carries_peak_rss(capsys, monkeypatch, tmp_path):
+    _, doc, ok = run_cli(capsys, "build", "hypercube", "-n", "3")
+    path = tmp_path / "q3.json"
+    path.write_text(doc)
+    _, _, fail = run_cli(capsys, "solve", "--input", str(path), "--max-k", "2")
+    _, _, bad_input = run_cli(capsys, "verify", "set", "--input", str(tmp_path / "none.json"))
+    assert main(["build", "nonsense"]) == 2
+    usage = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+    def handler(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "cmd_export", handler)
+    _, _, crashed = run_cli(capsys, "export", "--input", str(path))
+    outcomes = [m["outcome"] for m in (ok, fail, bad_input, usage, crashed)]
+    assert outcomes == ["ok", "fail", "error", "error", "error"]
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    for manifest in (ok, fail, bad_input, usage, crashed):
+        # the peak of this process so far, in MiB
+        assert isinstance(manifest["peak_rss_mb"], float)
+        assert 1 < manifest["peak_rss_mb"] <= peak + 0.1
+
+
+def test_solve_manifest_names_the_engine(capsys, tmp_path):
+    _, doc, _ = run_cli(capsys, "build", "minority", "-n", "4")
+    path = tmp_path / "m4.json"
+    path.write_text(doc)
+    code, wavefront, manifest = run_cli(capsys, "solve", "--input", str(path))
+    assert (code, manifest["engine"]) == (0, "wavefront")
+    code, certificate, manifest = run_cli(capsys, "solve", "--input", str(path), "--no-prune")
+    assert (code, manifest["engine"]) == (0, "certificate")
+    assert certificate == wavefront
+    # the engine is named also when the solve stops with an error
+    code, _, manifest = run_cli(capsys, "solve", "--input", str(tmp_path / "none.json"),
+                                "--no-prune")
+    assert (code, manifest["engine"], manifest["error_type"]) == (
+        2, "certificate", "DocumentError")
+    _, _, manifest = run_cli(capsys, "build", "hypercube", "-n", "2")
+    assert "engine" not in manifest

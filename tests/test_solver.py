@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from types import SimpleNamespace
@@ -8,7 +9,7 @@ import pytest
 from helpers import (naive_closure, random_graph, reference_literal_count,
                      reference_zero_forcing_number)
 from zfcubes import solver
-from zfcubes import (ResourceLimitError, TwistSpec, build_hypercube,
+from zfcubes import (Graph, ResourceLimitError, TwistSpec, build_hypercube,
                      build_minority_cube, build_twisted, complete_graph,
                      is_zero_forcing_set, lower_bound, solve_exact, upper_bound)
 
@@ -197,6 +198,10 @@ def test_literal_count_matches_reference():
     graphs = [random_graph(rng.randint(1, 9), rng, p=rng.choice((0.1, 0.2, 0.4, 0.7)))
               for _ in range(300)]
     graphs += [build_twisted(TwistSpec.random(4, rng)) for _ in range(6)]
+    # sparse graphs, whose prefixes often have no r-trigger near the top, so
+    # subsets are counted in bulk also at levels with two or more slots left
+    graphs += [random_graph(rng.randint(10, 11), rng, p=rng.choice((0.15, 0.2, 0.25)))
+               for _ in range(150)]
     for g in graphs:
         result = solve_exact(g, prune=False)
         z, witness, count = reference_literal_count(g)
@@ -210,6 +215,96 @@ def test_literal_count_of_five_cubes_below_their_minimum():
         result = solve_exact(g, max_k=5, prune=False)
         assert (result.status, result.subsets_tested, result.bounds) == (
             "inconclusive", 201376, (6, 16))  # C(32, 5) subsets
+
+
+def _mask(graph, labels):
+    return sum(1 << graph.index[v] for v in labels)
+
+
+def test_r_triggers_are_sound_and_match_their_definition():
+    # Lemma: if P is closed and no vertex of R is an r-trigger of P, with
+    # |R| <= r, then P | R is closed and not the full set.
+    rng = random.Random(0x7A1)
+    checked = 0
+    for _ in range(300):
+        g = random_graph(rng.randint(2, 10), rng, p=rng.uniform(0.15, 0.7))
+        masks, full = g.neighbor_masks, (1 << len(g)) - 1
+        degree = max(len(g.adjacency[v]) for v in g.vertices)
+        seed = rng.sample(g.vertices, rng.randint(0, len(g) // 2))
+        closed = naive_closure(g, seed)
+        if len(closed) == len(g):
+            continue
+        white = [v for v in g.vertices if v not in closed]
+        blue = _mask(g, closed)
+
+        def white_degree(v):
+            return sum(w not in closed for w in g.adjacency[v])
+
+        for r in range(1, degree + 1):
+            expected = {w for w in white
+                        if white_degree(w) <= r
+                        or any(b in closed and white_degree(b) <= r + 1
+                               for b in g.adjacency[w])}
+            found = {w for w in white
+                     if solver._top_trigger(masks, blue, full, _mask(g, [w]), r)
+                     == g.index[w]}
+            assert found == expected, (r, sorted(closed))
+            # the top trigger of a range is the highest trigger in it
+            for low in range(len(g)):
+                in_range = [g.index[w] for w in expected if g.index[w] >= low]
+                assert solver._top_trigger(masks, blue, full, full >> low << low, r) == (
+                    max(in_range, default=-1))
+            others = [v for v in white if v not in expected]
+            for size in range(1, min(r, len(others)) + 1):
+                for rest in itertools.combinations(others, size):
+                    grown = closed | set(rest)
+                    assert naive_closure(g, grown) == grown != frozenset(g.vertices)
+                    checked += 1
+    assert checked > 2000
+
+
+def test_caps_inside_interior_bulk_counts_stop_exactly():
+    # Q5 at size 5 starts at vertex 0. Each cap lands strictly inside one
+    # interior-level bulk count, located by hand and by logging the counts:
+    # - 302: after the 301 subsets with prefix [0, 1, 2] and fourth vertex
+    #   <= 16, the highest 2-trigger of the closure of {0, 1, 2}, the
+    #   C(15, 2) = 105 with a later fourth vertex are counted at once;
+    # - 3697 and 4059: {0, 1} is closed and its highest 3-trigger is 17
+    #   (a white neighbour of 1), so the C(14, 3) = 364 subsets whose third
+    #   vertex lies past 17 close the C(30, 3) = 4060 that start with [0, 1];
+    # - 7715: {0, 3} has no 3-trigger past 3, so all C(28, 3) = 3276 subsets
+    #   that start with [0, 3] are one count, after the 7714 before them;
+    # - 30101 and 31464: {0} has highest 4-trigger 16 (its neighbour
+    #   10000), so the C(15, 4) = 1365 subsets whose second vertex lies past
+    #   16 are the last of the C(31, 4) = 31465 that start at 0.
+    q5 = build_hypercube(5)
+    masks, full = q5.neighbor_masks, (1 << 32) - 1
+    assert solver._search_first(masks, full, 5, 0, 5, None, None) == (None, 31465, False)
+    for cap in (302, 3697, 4059, 7715, 30101, 31464):
+        assert solver._search_first(masks, full, 5, 0, 5, None, cap) == (None, cap, True)
+        result = solve_exact(q5, max_k=5, budget_subsets=cap, prune=False)
+        assert (result.status, result.subsets_tested, result.bounds) == (
+            "inconclusive", cap, (5, 16))
+
+
+def test_deadline_is_read_in_interior_bulk_counts():
+    q5 = build_hypercube(5)
+    result = solve_exact(q5, max_k=5, budget_secs=0.0, prune=False)
+    assert (result.status, result.bounds) == ("inconclusive", (5, 16))
+    # A pendant vertex 0 on K8. For sizes 3 to 6 no prefix [first] has an
+    # r-trigger past first, so each first's subsets are one interior-level
+    # count and no leaf level is reached; the deadline is read there.
+    g = Graph(range(9), [(0, 1)] + list(itertools.combinations(range(1, 9), 2)))
+    masks, full = g.neighbor_masks, (1 << 9) - 1
+    past = time.monotonic() - 1
+    for k in range(3, 7):
+        for first in range(9 - k + 1):
+            expected = math.comb(8 - first, k - 1)
+            assert solver._search_first(masks, full, k, first, 8, None, None) == (
+                None, expected, False)
+            assert solver._search_first(masks, full, k, first, 8, past, None) == (
+                None, expected, True)
+    assert solve_exact(g, prune=False).z == 7
 
 
 @pytest.mark.parametrize("kwargs", [
