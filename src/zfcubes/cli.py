@@ -27,7 +27,8 @@ from .arcsets import EXHAUSTIVE_VERTEX_LIMIT, decompose, find_chain_twist, \
 from .errors import ArcStructureError, DocumentError, MatchingError, \
     ResourceLimitError
 from .forcing import closure
-from .graphs import TwistSpec, build_hypercube, build_twisted, identity_matching
+from .graphs import TwistSpec, _check_dimension, build_hypercube, build_twisted, \
+    identity_matching
 from .minority import build_minority_cube
 from .serialize import dumps_json_document, from_dot, from_json_document, to_dot
 from .solver import solve_exact
@@ -75,6 +76,7 @@ def _parse_twist_spec_file(text: str) -> TwistSpec:
                             location=f"line {exc.lineno} column {exc.colno}") from exc
     if not isinstance(data, dict) or not isinstance(data.get("levels"), list):
         raise DocumentError("spec file must be an object with a 'levels' list")
+    _check_dimension(len(data["levels"]))  # before any level's table is built
     matchings = []
     for level, entry in enumerate(data["levels"], start=1):
         table = identity_matching(level)

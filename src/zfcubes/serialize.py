@@ -124,7 +124,7 @@ def from_json_document(data) -> GraphDocument:
         _fail("document must be a JSON object", "$")
 
     dimension = data.get("dimension")
-    if dimension is not None and (not isinstance(dimension, int) or dimension < 0):
+    if dimension is not None and (type(dimension) is not int or dimension < 0):
         _fail("dimension must be a non-negative integer or null", "dimension")
 
     vertices = data.get("vertices")

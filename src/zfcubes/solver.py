@@ -13,19 +13,20 @@ vertex set is the zero forcing number. A cheapest path costs exactly Z: its
 added vertices form a forcing set, and replaying the forces of a minimum
 forcing set in order gives a path that costs no more.
 
-The certificate mode (``prune=False``) enumerates candidate sets of each
-size in lexicographic order over vertex ids and decides every one, so every
-smaller size is literally exhausted. The closure of a partial subset is
-carried down the enumeration and extended one vertex at a time, which is
-sound because closure is monotone and idempotent. Alongside each closed
-prefix P goes its trigger mask: the white vertices whose addition can start
-a force. Adding any other vertex x leaves P | {x} closed and not full, so
-such a subset is decided without a closure: the leaves under a prefix are
-counted in bulk and only its triggers are closure-tested.
+The certificate mode (``prune=False``) enumerates the candidate sets of
+each size in one lexicographic pass over vertex ids, from the empty prefix,
+and decides every one, so every smaller size is literally exhausted. The
+closure of a partial subset is carried down the enumeration and extended
+one vertex at a time, which is sound because closure is monotone and
+idempotent. Alongside each closed prefix P goes its trigger mask: the white
+vertices whose addition can start a force. Adding any other vertex x leaves
+P | {x} closed and not full, so such a subset is decided without a closure:
+the leaves under a prefix are counted in bulk and only its triggers are
+closure-tested.
 
 The same rule decides whole subtrees. An *r-trigger* of a closed set P is a
-white vertex with at most r white neighbours, or a white neighbour of a blue
-vertex with at most r + 1 white neighbours; the triggers above are the
+white vertex with at most r white neighbours, or a white neighbour of a
+blue vertex with at most r + 1 white neighbours; the triggers above are the
 1-triggers. If P != V is closed and R is a set of at most r vertices, none
 of them an r-trigger of P, then P | R is closed and not full. Proof: if a
 blue b in P had one white neighbour left, then b had c >= 2 of them in P,
@@ -33,13 +34,13 @@ because P is closed, and R took c - 1 <= r of them, so they are r-triggers.
 If a w in R had one white neighbour left, it had at most 1 + (r - 1) in P.
 If P | R were full, R would hold every white vertex, each with at most
 r - 1 white neighbours. So at a prefix with r >= 2 slots left and next
-candidate x, the white vertices from x on are scanned from the top down,
-stopping at the first r-trigger w: no subset whose next vertex lies past w
-can force, and those subsets are counted with one binomial. The scan is
-skipped when r is at least the maximum degree, since every white vertex is
-then an r-trigger. The wavefront runs one level of this enumeration at
-k = z to return the same witness: the lexicographically least forcing set
-of size z.
+candidate x, the empty prefix (closed, with r = k) included, the white
+vertices from x on are scanned from the top down, stopping at the first
+r-trigger w: no subset whose next vertex lies past w can force, and those
+subsets are counted with one binomial. The scan is skipped when r is at
+least the maximum degree, since every white vertex is then an r-trigger.
+The wavefront runs one level of this enumeration at k = z to return the
+same witness: the lexicographically least forcing set of size z.
 """
 
 from __future__ import annotations
@@ -238,98 +239,93 @@ def _top_trigger(masks, blue: int, full: int, scan: int, r: int) -> int:
     return -1
 
 
-def _search_first(masks, full: int, k: int, first: int, degree: int,
+def _search_level(masks, full: int, k: int, degree: int,
                   deadline: Optional[float], cap: Optional[int]):
-    """Enumerate k-subsets whose smallest element is ``first``, in
-    lexicographic order.
+    """Enumerate the k-subsets of vertex ids, k >= 1, in lexicographic order.
 
-    Returns (witness ids or None, leaves tested, aborted flag). ``degree``
+    Returns (witness ids or None, subsets tested, aborted flag). ``degree``
     is the maximum degree. Only the leaves whose last vertex is a trigger of
     the prefix's closure are closed; the others are counted in bulk. A
-    prefix with r >= 2 slots left descends only into next vertices up to its
-    highest r-trigger; the subsets past it are counted with one binomial.
+    prefix with r >= 2 slots left, the empty one included, descends only
+    into next vertices up to its highest r-trigger; the subsets past it are
+    counted with one binomial.
     """
     n = len(masks)
-    if k == 1:
-        if cap is not None and cap <= 0:
-            return None, 0, True
-        return ([first] if _close_mask(masks, 1 << first, full) == full else None), 1, False
     tested = 0
-    # Level d >= 1 holds chosen[d], the closure of chosen[1:d + 1], its
-    # triggers, and the last next vertex worth visiting. Level 0 is the empty
-    # prefix, whose one next vertex is first.
-    chosen = [first] * (k + 1)
+    # Level d holds chosen[d], the closure of chosen[1:d + 1], its triggers,
+    # and the last next vertex worth visiting. Level 0 is the empty prefix.
+    chosen = [0] * (k + 1)
     stack = [0] * (k + 1)
     trig = [_triggers(masks, 0, full, full)] * (k + 1)
-    ends = [first] * (k + 1)
-    d = 0
-    x = first   # candidate for the next position
+    ends = [0] * (k + 1)
+    d = x = blue = 0
     while True:
-        slots = k - d
-        if slots == 1:
-            # the leaves chosen[1:d + 1] + [y] for y in [x, n), x < n
-            blue = stack[d]
-            if blue == full:
-                if cap is not None and tested >= cap:
-                    return None, tested, True
-                return chosen[1:d + 1] + [x], tested + 1, False
-            pos = x
-            rest = trig[d] >> x << x
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                y = low.bit_length() - 1
-                if cap is not None and tested + y - pos >= cap:
+        # a new prefix at level d, closed to blue, whose next vertex is x
+        r = k - d
+        if r >= 2:
+            last = n - r
+            # scan only where a cut is possible: more than one subset left,
+            # r below the maximum degree (else every white vertex is an
+            # r-trigger) and a closure that is not full; with no r-trigger
+            # from x on, every subset is past the end
+            if x < last and r < degree and blue != full:
+                last = min(last, max(x - 1, _top_trigger(
+                    masks, blue, full, full >> x << x, r)))
+            ends[d] = last
+        while True:
+            slots = k - d
+            if slots == 1:
+                # the leaves chosen[1:d + 1] + [y] for y in [x, n), x < n
+                if blue == full:
+                    if cap is not None and tested >= cap:
+                        return None, tested, True
+                    return chosen[1:d + 1] + [x], tested + 1, False
+                pos = x
+                rest = trig[d] >> x << x
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    y = low.bit_length() - 1
+                    if cap is not None and tested + y - pos >= cap:
+                        return None, cap, True
+                    tested += y - pos + 1
+                    if _extend_closure(masks, blue, y, full) == full:
+                        return chosen[1:d + 1] + [y], tested, False
+                    pos = y + 1
+                if cap is not None and tested + n - pos > cap:
                     return None, cap, True
-                tested += y - pos + 1
-                if _extend_closure(masks, blue, y, full) == full:
-                    return chosen[1:d + 1] + [y], tested, False
-                pos = y + 1
-            if cap is not None and tested + n - pos > cap:
-                return None, cap, True
-            tested += n - pos
-            if deadline is not None and time.monotonic() > deadline:
-                return None, tested, True
-        elif x <= ends[d]:
-            blue, t = stack[d], trig[d]
-            bit = 1 << x
-            if t & bit:
-                blue = _extend_closure(masks, blue, x, full)
-                t = _triggers(masks, blue, full, full)
-            elif not blue & bit:
-                # blue | bit stays closed; only x and its neighbours can
-                # become triggers, and no trigger stops being one
-                blue |= bit
-                t |= _triggers(masks, blue, full, masks[x] | bit)
-            d += 1
-            chosen[d] = x
-            stack[d] = blue
-            trig[d] = t
-            x += 1
-            r = slots - 1
-            if r >= 2:
-                last = n - r
-                # scan only where a cut is possible: more than one subset
-                # left, r below the maximum degree (else every white vertex
-                # is an r-trigger) and a closure that is not full; with no
-                # r-trigger from x on, every subset is past the end
-                if x < last and r < degree and blue != full:
-                    last = min(last, max(x - 1, _top_trigger(
-                        masks, blue, full, full >> x << x, r)))
-                ends[d] = last
-            continue
-        elif ends[d] < n - slots:
-            # no subset whose next vertex lies past ends[d] can force
-            past = math.comb(n - 1 - ends[d], slots)
-            if cap is not None and tested + past > cap:
-                return None, cap, True
-            tested += past
-            if deadline is not None and time.monotonic() > deadline:
-                return None, tested, True
-        if d == 1:
-            return None, tested, False
-        x = chosen[d] + 1
-        d -= 1
+                tested += n - pos
+                if deadline is not None and time.monotonic() > deadline:
+                    return None, tested, True
+            elif x <= ends[d]:
+                blue, t = stack[d], trig[d]
+                bit = 1 << x
+                if t & bit:
+                    blue = _extend_closure(masks, blue, x, full)
+                    t = _triggers(masks, blue, full, full)
+                elif not blue & bit:
+                    # blue | bit stays closed; only x and its neighbours can
+                    # become triggers, and no trigger stops being one
+                    blue |= bit
+                    t |= _triggers(masks, blue, full, masks[x] | bit)
+                d += 1
+                chosen[d] = x
+                stack[d] = blue
+                trig[d] = t
+                x += 1
+                break
+            elif ends[d] < n - slots:
+                # no subset whose next vertex lies past ends[d] can force
+                past = math.comb(n - 1 - ends[d], slots)
+                if cap is not None and tested + past > cap:
+                    return None, cap, True
+                tested += past
+                if deadline is not None and time.monotonic() > deadline:
+                    return None, tested, True
+            if d == 0:
+                return None, tested, False
+            x = chosen[d] + 1
+            d -= 1
 
 
 def solve_exact(graph: Graph, *, max_k: Optional[int] = None,
@@ -346,12 +342,12 @@ def solve_exact(graph: Graph, *, max_k: Optional[int] = None,
     With ``prune=False`` sizes are tried from max(1, minimum degree) upward
     and every subset of every failing size is decided, giving a literal
     exhaustive certificate; ``subsets_tested`` counts the subsets. Each size
-    is enumerated by smallest element, in lexicographic order. A subset
-    whose last vertex is no trigger of the closed prefix (module docstring)
-    is counted without a closure; the others are closure-tested. A prefix
-    with r >= 2 slots left is extended only by next vertices up to its
-    highest r-trigger; the subsets past it cannot force and are counted at
-    once.
+    is one enumeration in lexicographic order, from the empty prefix. A
+    subset whose last vertex is no trigger of the closed prefix (module
+    docstring) is counted without a closure; the others are closure-tested.
+    A prefix with r >= 2 slots left, the empty one included, is extended
+    only by next vertices up to its highest r-trigger; the subsets past it
+    cannot force and are counted at once.
 
     Budgets turn the result inconclusive instead of wrong; ``bounds`` then
     reports a proven lower bound and the best known upper bound.
@@ -359,8 +355,9 @@ def solve_exact(graph: Graph, *, max_k: Optional[int] = None,
     bulk-counted run of subsets. ``budget_secs`` is measured on the
     monotonic clock and read at least once per 512 closures of the wavefront
     and, in the enumeration, once per prefix whose subsets were counted:
-    after the leaves of each prefix with one slot left, and after each bulk
-    count past a highest r-trigger. Exhausting every size up to
+    after the leaves of each prefix with one slot left, which at size 1 is
+    the empty prefix, and after each bulk count past a highest r-trigger,
+    the empty prefix's included. Exhausting every size up to
     ``max_k`` gives the lower bound max_k + 1. When a budget stops the
     wavefront in the bucket of cost c, every cheaper state was expanded and
     none of cost c is full, so the lower bound is c + 1; in the certificate
@@ -420,18 +417,14 @@ def solve_exact(graph: Graph, *, max_k: Optional[int] = None,
             return inconclusive(low)
         levels, upper = (z,), z
     for k in levels:
-        for first in range(n - k + 1):
-            cap = budget_subsets - tested_total if budget_subsets is not None else None
-            witness_ids, tested, aborted = _search_first(masks, full, k, first, degree,
-                                                         deadline, cap)
-            tested_total += tested
-            if witness_ids is not None:
-                return finish(k, witness_ids)
-            if aborted:
-                # this size was cut short, so only sizes below k are ruled out
-                return inconclusive(k)
-        if budget_subsets is not None and tested_total >= budget_subsets:
-            return inconclusive(k + 1)
+        cap = budget_subsets - tested_total if budget_subsets is not None else None
+        witness_ids, tested, aborted = _search_level(masks, full, k, degree, deadline, cap)
+        tested_total += tested
+        if witness_ids is not None:
+            return finish(k, witness_ids)
+        if aborted:
+            # this size was cut short, so only sizes below k are ruled out
+            return inconclusive(k)
     if k_stop < n:
         return inconclusive(k_stop + 1)
     raise AssertionError("unreachable: the full vertex set always forces")

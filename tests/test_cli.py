@@ -12,7 +12,7 @@ import pytest
 
 from helpers import random_dipath_arcset
 from zfcubes import (ArcSet, TwistSpec, arcsets, build_minority_cube, build_twisted, cli,
-                     dumps_json_document, find_chain_twist, from_json_document)
+                     dumps_json_document, find_chain_twist, from_json_document, graphs)
 from zfcubes.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -80,6 +80,26 @@ def test_build_twisted_from_bad_spec(capsys, tmp_path):
                                     "--spec-file", str(spec))
         assert code == 2, text
         assert manifest["inputs"]
+
+
+def test_spec_file_past_the_dimension_limit_is_refused_before_building(
+        capsys, monkeypatch, tmp_path):
+    # 21 levels would build tables of 2^0 to 2^20 strings, gigabytes by 25
+    built = []
+
+    def identity_matching(level):
+        built.append(level)
+        assert level <= graphs.CONSTRUCTION_DIMENSION_LIMIT, "table past the limit"
+        return {}
+
+    monkeypatch.setattr(cli, "identity_matching", identity_matching)
+    spec = tmp_path / "plan.json"
+    spec.write_text(json.dumps(
+        {"levels": ["identity"] * (graphs.CONSTRUCTION_DIMENSION_LIMIT + 1)}))
+    code, out, manifest = run_cli(capsys, "build", "twisted-from-spec",
+                                  "--spec-file", str(spec))
+    assert (code, out, manifest["error_type"]) == (2, "", "ResourceLimitError")
+    assert built == []
 
 
 def test_verify_arcs_on_minority_ten(capsys, tmp_path):

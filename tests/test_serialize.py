@@ -51,6 +51,9 @@ def test_schema_violations_carry_locations():
     with pytest.raises(DocumentError) as err:
         from_json_document({"dimension": 2, "vertices": ["0"], "edges": []})
     assert err.value.location == "vertices[0]"
+    with pytest.raises(DocumentError) as err:  # a bool is an int to isinstance
+        from_json_document({"dimension": True, "vertices": ["0", "1"], "edges": [["0", "1"]]})
+    assert err.value.location == "dimension"
     with pytest.raises(DocumentError):
         from_json_document({"vertices": [], "edges": []})
     with pytest.raises(DocumentError) as err:

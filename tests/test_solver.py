@@ -10,8 +10,17 @@ from helpers import (naive_closure, random_graph, reference_literal_count,
                      reference_zero_forcing_number)
 from zfcubes import solver
 from zfcubes import (Graph, ResourceLimitError, TwistSpec, build_hypercube,
-                     build_minority_cube, build_twisted, complete_graph,
-                     is_zero_forcing_set, lower_bound, solve_exact, upper_bound)
+                     build_minority_cube, build_twisted, complete_graph, cycle_graph,
+                     is_zero_forcing_set, lower_bound, path_graph, solve_exact,
+                     upper_bound)
+
+
+# Graphs of maximum degree at most 4 with a vertex of degree at most 1: K1,
+# P2-P5, the star K1,4 and P3 beside an isolated vertex. The enumeration
+# starts at size 1 on them and often stops at level 0.
+LOW_DEGREE_GRAPHS = ([complete_graph(1)] + [path_graph(n) for n in range(2, 6)]
+                     + [Graph(range(5), [(0, i) for i in range(1, 5)]),
+                        Graph(range(4), [(0, 1), (1, 2)])])
 
 
 def test_lower_bound_is_minimum_degree():
@@ -155,8 +164,7 @@ def test_wavefront_matches_reference_on_random_graphs():
 def test_inconclusive_results_bracket_z():
     rng = random.Random(41)
     cases = [(build_minority_cube(5).graph, 13, True), (build_hypercube(4), 8, True)]
-    for _ in range(20):
-        g = random_graph(rng.randint(6, 9), rng)
+    for g in [random_graph(rng.randint(6, 9), rng) for _ in range(20)] + LOW_DEGREE_GRAPHS:
         cases.append((g, reference_zero_forcing_number(g)[0], True))
     # the certificate mode, whose leaves are counted in bulk
     cases += [(g, z, False) for g, z, _ in cases[1:]]
@@ -166,7 +174,7 @@ def test_inconclusive_results_bracket_z():
         # the last budget stops one short of the witness; with the wavefront
         # that is inside the witness level, after it found z
         runs += [({"budget_subsets": cap}, cap)
-                 for cap in (0, 1, tested // 3, tested // 2, tested - 1)]
+                 for cap in (0, 1, tested // 3, tested // 2, tested - 1) if cap < tested]
         if tested > 512:  # the deadline is read every 512 closures
             runs.append(({"budget_secs": 0.0}, None))
         for kwargs, cap in runs:
@@ -202,6 +210,7 @@ def test_literal_count_matches_reference():
     # subsets are counted in bulk also at levels with two or more slots left
     graphs += [random_graph(rng.randint(10, 11), rng, p=rng.choice((0.15, 0.2, 0.25)))
                for _ in range(150)]
+    graphs += LOW_DEGREE_GRAPHS
     for g in graphs:
         result = solve_exact(g, prune=False)
         z, witness, count = reference_literal_count(g)
@@ -264,8 +273,9 @@ def test_r_triggers_are_sound_and_match_their_definition():
 
 
 def test_caps_inside_interior_bulk_counts_stop_exactly():
-    # Q5 at size 5 starts at vertex 0. Each cap lands strictly inside one
-    # interior-level bulk count, located by hand and by logging the counts:
+    # Q5 at size 5 enumerates the subsets that start at vertex 0 first. Each
+    # cap lands strictly inside one interior-level bulk count among them,
+    # located by hand and by logging the counts:
     # - 302: after the 301 subsets with prefix [0, 1, 2] and fourth vertex
     #   <= 16, the highest 2-trigger of the closure of {0, 1, 2}, the
     #   C(15, 2) = 105 with a later fourth vertex are counted at once;
@@ -279,9 +289,9 @@ def test_caps_inside_interior_bulk_counts_stop_exactly():
     #   16 are the last of the C(31, 4) = 31465 that start at 0.
     q5 = build_hypercube(5)
     masks, full = q5.neighbor_masks, (1 << 32) - 1
-    assert solver._search_first(masks, full, 5, 0, 5, None, None) == (None, 31465, False)
+    assert solver._search_level(masks, full, 5, 5, None, None) == (None, 201376, False)
     for cap in (302, 3697, 4059, 7715, 30101, 31464):
-        assert solver._search_first(masks, full, 5, 0, 5, None, cap) == (None, cap, True)
+        assert solver._search_level(masks, full, 5, 5, None, cap) == (None, cap, True)
         result = solve_exact(q5, max_k=5, budget_subsets=cap, prune=False)
         assert (result.status, result.subsets_tested, result.bounds) == (
             "inconclusive", cap, (5, 16))
@@ -291,19 +301,35 @@ def test_deadline_is_read_in_interior_bulk_counts():
     q5 = build_hypercube(5)
     result = solve_exact(q5, max_k=5, budget_secs=0.0, prune=False)
     assert (result.status, result.bounds) == ("inconclusive", (5, 16))
-    # A pendant vertex 0 on K8. For sizes 3 to 6 no prefix [first] has an
-    # r-trigger past first, so each first's subsets are one interior-level
-    # count and no leaf level is reached; the deadline is read there.
+    # A pendant vertex 0 on K8. For sizes 3 to 6 the only k-trigger of the
+    # empty prefix is 0, and [0] has no (k - 1)-trigger past 0. So the level
+    # is two interior-level counts and no leaf level is reached: the C(8, k - 1)
+    # subsets that start with 0, then the C(8, k) that start past it. The
+    # deadline is read after the first; a cap stops the second exactly.
     g = Graph(range(9), [(0, 1)] + list(itertools.combinations(range(1, 9), 2)))
     masks, full = g.neighbor_masks, (1 << 9) - 1
     past = time.monotonic() - 1
     for k in range(3, 7):
-        for first in range(9 - k + 1):
-            expected = math.comb(8 - first, k - 1)
-            assert solver._search_first(masks, full, k, first, 8, None, None) == (
-                None, expected, False)
-            assert solver._search_first(masks, full, k, first, 8, past, None) == (
-                None, expected, True)
+        under = math.comb(8, k - 1)
+        assert solver._search_level(masks, full, k, 8, None, None) == (
+            None, math.comb(9, k), False)
+        assert solver._search_level(masks, full, k, 8, past, None) == (None, under, True)
+        for cap in (under, under + 1, math.comb(9, k) - 1):
+            assert solver._search_level(masks, full, k, 8, None, cap) == (None, cap, True)
+        # a cap that the whole level reaches does not stop it
+        assert solver._search_level(masks, full, k, 8, None, math.comb(9, k)) == (
+            None, math.comb(9, k), False)
+    # K8 alone: the empty prefix has no k-trigger, so all C(8, k) subsets are
+    # one count at level 0, and the deadline is read only after it
+    k8 = complete_graph(8)
+    for k in range(3, 7):
+        assert solver._search_level(k8.neighbor_masks, (1 << 8) - 1, k, 7, past, None) == (
+            None, math.comb(8, k), True)
+    # at size 1 the leaves of the empty prefix are the level; C5 has no
+    # trigger, so all five are counted and the deadline is read after them
+    c5 = cycle_graph(5)
+    assert solver._search_level(c5.neighbor_masks, (1 << 5) - 1, 1, 2, past, None) == (
+        None, 5, True)
     assert solve_exact(g, prune=False).z == 7
 
 
