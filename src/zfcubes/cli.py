@@ -62,8 +62,11 @@ def _emit(text: str, output: str | None) -> None:
     if output is None or output == "-":
         sys.stdout.write(text)
     else:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise DocumentError(f"cannot write {output}: {exc.strerror}") from exc
 
 
 def _parse_twist_spec_file(text: str) -> TwistSpec:

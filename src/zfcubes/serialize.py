@@ -234,6 +234,7 @@ def from_dot(text: str) -> GraphDocument:
         raise DocumentError("expected a closing '}'", location=f"line {len(lines)}")
     dimension = None
     vertices: list[str] = []
+    vertex_lines: list[int] = []
     edges: list[tuple[str, str]] = []
     arcs: list[tuple[str, str]] = []
     for lineno, line in enumerate(lines[first + 1:-1], start=first + 2):
@@ -248,6 +249,7 @@ def from_dot(text: str) -> GraphDocument:
         m = _DOT_VERTEX.match(line)
         if m:
             vertices.append(m.group(1))
+            vertex_lines.append(lineno)
             continue
         m = _DOT_DIMENSION.match(line)
         if m:
@@ -257,6 +259,12 @@ def from_dot(text: str) -> GraphDocument:
             raise DocumentError(f"unrecognised statement {line!r}", location=f"line {lineno}")
     if not vertices:
         raise DocumentError("no vertex statements found", location="body")
+    if dimension is not None:  # the rule of from_json_document
+        for v, lineno in zip(vertices, vertex_lines):
+            if len(v) != dimension or v.strip("01"):
+                raise DocumentError(f"vertex {v!r} is not a {dimension}-bit string",
+                                    location=f"line {lineno}")
+        vertices.sort()  # equal-length bit strings: text order is id order
     try:
         graph = Graph(vertices, edges, dimension=dimension)
     except ValueError as exc:

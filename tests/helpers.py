@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 
 from zfcubes import Graph
+from zfcubes.arcsets import _twisted_sequence
 
 
 def naive_closure(graph, initial, rng=None):
@@ -294,3 +295,50 @@ def random_oriented_arcset(graph, rng, p=0.3):
         elif r < 2 * p:
             arcs.append((v, u))
     return arcs
+
+
+def _simple_cycles(graph):
+    """Yield every simple cycle of the graph exactly once, as vertex id lists.
+
+    Each cycle is rooted at its smallest id and oriented so that the second
+    id is smaller than the last.
+    """
+    nbr = graph.neighbor_ids
+    n = len(graph)
+    on_path = [False] * n
+    for root in range(n):
+        path = [root]
+        on_path[root] = True
+        iters = [iter(nbr[root])]
+        while iters:
+            found = None
+            for w in iters[-1]:
+                if w == root and len(path) >= 3 and path[1] < path[-1]:
+                    yield list(path)
+                elif w > root and not on_path[w]:
+                    found = w
+                    break
+            if found is None:
+                iters.pop()
+                on_path[path.pop()] = False
+            else:
+                path.append(found)
+                on_path[found] = True
+                iters.append(iter(nbr[found]))
+
+
+def reference_find_chain_twist(arcset):
+    """Label-level exhaustive scan: every simple cycle from
+    :func:`_simple_cycles`, forward then backward, each traversal tested
+    step by step against the arc labels. Returns the first chain twist or
+    None; ``find_chain_twist(method="exhaustive")`` must return the same."""
+    verts = arcset.host.vertices
+    arcs = arcset.arcs
+    for ids in _simple_cycles(arcset.host):
+        cyc = [verts[i] for i in ids]
+        if _twisted_sequence(arcs, cyc, cyclic=True):
+            return cyc
+        rev = [cyc[0]] + cyc[:0:-1]
+        if _twisted_sequence(arcs, rev, cyclic=True):
+            return rev
+    return None

@@ -3,9 +3,10 @@ import time
 
 import pytest
 
-from helpers import (naive_closure, random_dipath_arcset, random_graph,
-                     random_oriented_arcset, reference_adjacency,
-                     reference_is_forcing_arc_set, reference_walk_cycle_exists)
+from helpers import (naive_closure, random_connected_graph, random_dipath_arcset,
+                     random_graph, random_oriented_arcset, reference_adjacency,
+                     reference_find_chain_twist, reference_is_forcing_arc_set,
+                     reference_walk_cycle_exists)
 from zfcubes import (ArcSet, ArcStructureError, ResourceLimitError, TwistSpec,
                      build_hypercube, build_minority_cube, build_twisted, closure,
                      complete_graph, cycle_graph, decompose, find_chain_twist,
@@ -179,6 +180,43 @@ def test_walk_detector_agrees_with_exhaustive_up_to_twelve_vertices():
         exhaustive = find_chain_twist(arcs, method="exhaustive")
         walk = find_chain_twist(arcs, method="walk")
         assert (exhaustive is None) == (walk is None)
+
+
+def test_exhaustive_scan_matches_the_label_level_oracle():
+    # Witness and orientation as the label-level scan over every simple cycle:
+    # dipath forests and free orientations on random connected graphs, dipath
+    # forests and closure force records on random twisted 3- and 4-cubes.
+    # Force records are twist-free, so the scan meets every simple cycle of
+    # their hosts; the last case is a complete force record on a 4-cube. The
+    # first case is twisted both ways round, so it pins forward before backward.
+    rng = random.Random(10)
+    cases = [ArcSet(cycle_graph(4), [(0, 1), (2, 1), (2, 3), (0, 3)])]
+    for case in range(300):
+        g = random_connected_graph(rng.randint(3, 10), rng, p=rng.choice([0.25, 0.4, 0.6]))
+        arcs = (random_dipath_arcset(g, rng, keep=rng.random()) if case % 2
+                else random_oriented_arcset(g, rng, p=rng.choice([0.1, 0.3, 0.5])))
+        cases.append(ArcSet(g, arcs))
+    for case in range(40):
+        g = build_twisted(TwistSpec.random(4 if case % 10 < 2 else 3, rng))
+        if case % 2:
+            cases.append(ArcSet(g, random_dipath_arcset(g, rng, keep=rng.random())))
+        else:
+            s = [v for v in g.vertices if rng.random() < 0.4]
+            cases.append(trace_to_arcset(closure(g, s)))
+    g = build_twisted(TwistSpec.random(4, rng))
+    order = list(g.vertices)
+    rng.shuffle(order)
+    k = next(k for k in range(1, len(g) + 1) if is_zero_forcing_set(g, order[:k]))
+    cases.append(trace_to_arcset(closure(g, order[:k])))
+    verdicts = {True: 0, False: 0}
+    for arcs in cases:
+        witness = find_chain_twist(arcs, method="exhaustive")
+        assert witness == reference_find_chain_twist(arcs)
+        verdicts[witness is None] += 1
+        if witness is not None:
+            assert is_chain_twist(arcs, witness)
+    assert witness is None and len(arcs) == len(g) - k
+    assert min(verdicts.values()) > 100, verdicts
 
 
 def test_greedy_execution_examples():

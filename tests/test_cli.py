@@ -333,6 +333,15 @@ def test_build_writes_the_document_to_output_file(capsys, tmp_path):
     assert json.loads(output.read_text())["dimension"] == 2
 
 
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
+    output = tmp_path / "missing" / "q3.json"
+    code, out, manifest = run_cli(capsys, "build", "hypercube", "-n", "3",
+                                  "--output", str(output))
+    assert (code, out) == (2, "")
+    assert (manifest["outcome"], manifest["error_type"]) == ("error", "DocumentError")
+    assert not output.parent.exists()
+
+
 def test_trace_bindings_resolve(monkeypatch):
     # perfbench/spans.py replaces these module bindings to time each layer
     monkeypatch.syspath_prepend(str(PERFBENCH))

@@ -6,8 +6,8 @@ import pytest
 from helpers import random_dipath_arcset, random_graph
 from zfcubes import (ArcSet, DocumentError, Graph, TwistSpec, build_hypercube,
                      build_minority_cube, build_twisted, closure,
-                     dumps_json_document, from_dot, from_json_document, to_dot,
-                     to_json_document, trace_to_arcset)
+                     dumps_json_document, from_dot, from_json_document, solve_exact,
+                     to_dot, to_json_document, trace_to_arcset)
 
 
 def test_json_round_trip_plain_cube():
@@ -91,6 +91,14 @@ def test_dot_round_trip():
     bare = from_dot(to_dot(build_hypercube(2)))
     assert bare.graph == build_hypercube(2)
     assert bare.arcs is None
+    # vertex statements out of id order load in id order, as from JSON, so
+    # the solver's witness does not depend on the format
+    lines = to_dot(build_hypercube(2)).splitlines()
+    lines[2:6] = lines[5:1:-1]
+    assert lines[2:6] == ['  "11";', '  "10";', '  "01";', '  "00";']
+    shuffled = from_dot("\n".join(lines))
+    assert shuffled.graph.vertices == build_hypercube(2).vertices
+    assert solve_exact(shuffled.graph).witness == ("00", "01")
 
 
 def test_dot_rejects_garbage():
@@ -105,6 +113,10 @@ def test_dot_rejects_garbage():
     with pytest.raises(DocumentError) as err:
         from_dot('\ngraph g {\n\n  "0";\n\n')
     assert "line 4" in str(err.value)
+    with pytest.raises(DocumentError) as err:  # the JSON loader's dimension rule
+        from_dot('graph g {\n  dimension="2";\n  "a";\n  "b";\n  "a" -- "b";\n}')
+    assert err.value.location == "line 3"
+    assert "'a' is not a 2-bit string" in str(err.value)
 
 
 def test_non_string_labels_refuse_to_export():
@@ -224,7 +236,7 @@ def test_dot_statements_in_any_order():
         "}", ""])
     doc = from_dot(text)
     assert doc.graph.dimension == 2
-    assert doc.graph.vertices == ("01", "00", "11", "10")
+    assert doc.graph.vertices == ("00", "01", "10", "11")
     assert doc.graph.edge_keys == frozenset(map(frozenset, [
         ("00", "01"), ("10", "00"), ("01", "11"), ("11", "10")]))
     assert doc.arcs.arcs == {("10", "00"), ("01", "11")}
