@@ -7,8 +7,8 @@ run cut short by recursion depth, memory or an interrupt; the manifest then
 names the exception class as ``error_type``. Every invocation writes one
 machine-readable manifest line to stderr. It carries the process's peak
 resident set size as ``peak_rss_mb`` and, for ``solve``, the ``engine`` it
-ran. Stdout carries only the requested payload and is byte-identical across
-identical invocations.
+ran and the work counts of its ``SolveResult``. Stdout carries only the
+requested payload and is byte-identical across identical invocations.
 """
 
 from __future__ import annotations
@@ -189,7 +189,9 @@ def cmd_solve(args) -> int:
         "bounds": list(result.bounds),
     }
     _emit(json.dumps(payload, indent=2) + "\n", args.output)
-    _manifest["subsets_tested"] = result.subsets_tested
+    for key in ("subsets_tested", "wavefront_closures", "memo_hits",
+                "feasibility_checks", "pruned_subsets"):
+        _manifest[key] = getattr(result, key)
     return 0 if result.status == "exact" else 1
 
 

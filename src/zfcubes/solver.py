@@ -41,6 +41,22 @@ subsets are counted with one binomial. The scan is skipped when r is at
 least the maximum degree, since every white vertex is then an r-trigger.
 The wavefront runs one level of this enumeration at k = z to return the
 same witness: the lexicographically least forcing set of size z.
+
+The wavefront's argument holds from any closed start S in place of the
+empty set: the vertices a path from S colours by choice form a set R, as
+large as the path's cost, that makes S | R force, and any such R gives a
+path from S that costs at most |R|. So the wavefront from S with limit r
+reaches the full set exactly when some r vertices complete S. The witness
+level prunes with it. Once the subtree of the first next vertex of a
+nonempty prefix P with r >= 2 slots left has failed, the wavefront runs
+from the closure of P with limit r, memoised on (closure, r). If it cannot
+reach the full set, no completion of P forces, and the rest of P's subsets
+are counted with one binomial. The check allows every vertex, not only
+those after the prefix, so it cuts only what cannot force and the witness
+is unchanged. It waits for the first subtree because witnesses tend to lie
+on the leftmost path, where a check would be wasted. Successors of one
+bucket often share their pre-closure mask, so each wavefront memoises its
+closures per bucket and drops the memo when it moves to the next bucket.
 """
 
 from __future__ import annotations
@@ -64,9 +80,18 @@ class SolveResult:
     ``status`` is ``"exact"`` when Z is certified and a witness found,
     ``"inconclusive"`` when a budget or ``max_k`` stopped the search first;
     ``bounds`` always brackets the true zero forcing number.
-    ``subsets_tested`` counts decided subsets and states: in the wavefront,
-    one per successor state plus one per subset of the witness level; in the
-    certificate mode, one per subset, whether or not it needed a closure.
+    ``subsets_tested`` counts decided subsets and states. In the default
+    mode it counts one per successor state of the wavefront, and one per
+    subset of the witness level and per successor state of that level's
+    feasibility checks. In the certificate mode it counts one per subset,
+    whether or not it needed a closure.
+
+    The other counts stay 0 in the certificate mode. ``wavefront_closures``
+    and ``memo_hits`` split the successor states of every wavefront run into
+    those that were closed and those whose closure came from the memo.
+    ``feasibility_checks`` counts the wavefront runs of the witness level's
+    checks, and ``pruned_subsets`` the subsets that failed checks counted
+    in bulk, beyond those the r-trigger rule counts.
     """
 
     z: Optional[int]
@@ -75,6 +100,10 @@ class SolveResult:
     elapsed: float
     status: str
     bounds: tuple[int, int]
+    wavefront_closures: int = 0
+    memo_hits: int = 0
+    feasibility_checks: int = 0
+    pruned_subsets: int = 0
 
 
 def lower_bound(graph: Graph) -> int:
@@ -103,17 +132,23 @@ def upper_bound(graph: Graph) -> tuple[int, tuple]:
 
 def _close_mask(masks, blue: int, full: int) -> int:
     # Bitmask closure: force whenever a blue vertex sees exactly one white bit.
+    # A blue vertex with at most one white neighbour leaves the scan: once it
+    # has forced it has none, and white only shrinks.
+    white = full ^ blue
+    active = blue
     while True:
         previous = blue
-        scan = blue
-        white = full ^ blue
+        scan = active
         while scan:
             low = scan & -scan
             scan ^= low
             wn = masks[low.bit_length() - 1] & white
-            if wn and not (wn & (wn - 1)):
-                blue |= wn
-                white ^= wn
+            if not wn & (wn - 1):
+                active ^= low
+                if wn:
+                    blue |= wn
+                    white ^= wn
+                    active |= wn
         if blue == previous:
             return blue
 
@@ -144,26 +179,32 @@ def _extend_closure(masks, blue: int, new_vertex: int, full: int) -> int:
     return blue
 
 
-def _wavefront(masks, full: int, limit: int, deadline: Optional[float],
+def _wavefront(masks, full: int, start: int, limit: int, deadline: Optional[float],
                cap: Optional[int]):
-    """Cheapest cost, at most ``limit``, of a path from the empty set to the
-    full mask.
+    """Cheapest cost, at most ``limit``, of a path from the closed mask
+    ``start`` to the full mask.
 
-    Returns (z or None, lower, upper, closures evaluated). Without z,
+    Returns (z or None, lower, upper, successors, closures). Without z,
     ``lower`` is proven: every state cheaper than it was expanded, or the
-    buckets up to ``limit`` ran dry. ``upper`` is the cost of the full mask
-    if a budget stopped the search after reaching it, else None.
+    buckets up to ``limit`` ran dry, and then it is ``limit + 1``. ``upper``
+    is the cost of the full mask if a budget stopped the search after
+    reaching it, else None. ``successors`` counts the successor states
+    evaluated; ``closures`` counts those that needed a closure, the rest
+    coming from a memo of the current bucket's pre-closure masks.
     """
     n = len(masks)
     closed = tuple(masks[v] | (1 << v) for v in range(n))
-    best = {0: 0}
+    best = {start: 0}
     buckets = [[] for _ in range(max(limit, 0) + 1)]
-    buckets[0].append(0)
-    tested = 0
+    buckets[0].append(start)
+    # pre-closure mask -> closure, kept for the current bucket only, which
+    # bounds its size by one bucket's successors
+    memo = {}
+    tested = closures = 0
     cost = 0
     while cost <= limit:
         if best.get(full) == cost:
-            return cost, cost, cost, tested
+            return cost, cost, cost, tested, closures
         # a move costs at least one, so the bucket at the limit has no
         # successor within it
         for blue in buckets[cost] if cost < limit else ():
@@ -178,11 +219,15 @@ def _wavefront(masks, full: int, limit: int, deadline: Optional[float],
                 if reach > limit:
                     continue
                 if cap is not None and tested >= cap:
-                    return None, cost + 1, best.get(full), tested
+                    return None, cost + 1, best.get(full), tested, closures
                 tested += 1
                 if deadline is not None and tested % 512 == 0 and time.monotonic() > deadline:
-                    return None, cost + 1, best.get(full), tested
-                succ = _close_mask(masks, blue | added, full)
+                    return None, cost + 1, best.get(full), tested, closures
+                pre = blue | added
+                succ = memo.get(pre)
+                if succ is None:
+                    succ = memo[pre] = _close_mask(masks, pre, full)
+                    closures += 1
                 if succ == full:
                     # no state at or past this cost can beat the path found
                     limit = reach
@@ -192,8 +237,9 @@ def _wavefront(masks, full: int, limit: int, deadline: Optional[float],
                     best[succ] = reach
                     buckets[reach].append(succ)
         buckets[cost] = ()
+        memo.clear()
         cost += 1
-    return None, limit + 1, None, tested
+    return None, limit + 1, None, tested, closures
 
 
 def _triggers(masks, blue: int, full: int, scan: int) -> int:
@@ -240,7 +286,8 @@ def _top_trigger(masks, blue: int, full: int, scan: int, r: int) -> int:
 
 
 def _search_level(masks, full: int, k: int, degree: int,
-                  deadline: Optional[float], cap: Optional[int]):
+                  deadline: Optional[float], cap: Optional[int],
+                  stats: Optional[dict] = None):
     """Enumerate the k-subsets of vertex ids, k >= 1, in lexicographic order.
 
     Returns (witness ids or None, subsets tested, aborted flag). ``degree``
@@ -249,9 +296,18 @@ def _search_level(masks, full: int, k: int, degree: int,
     prefix with r >= 2 slots left, the empty one included, descends only
     into next vertices up to its highest r-trigger; the subsets past it are
     counted with one binomial.
+
+    The default engine's witness level passes ``stats``, a dict of counters.
+    Then a nonempty prefix with r >= 2 slots left whose first next vertex
+    failed is checked before its other next vertices: if the wavefront from
+    its closure cannot reach the full set within r, its remaining subsets
+    are counted with one binomial (module docstring). The successors of the
+    checks count as tested, and ``stats`` receives the checks' closures,
+    memo hits, wavefront runs and the subsets they decided.
     """
     n = len(masks)
     tested = 0
+    feasible = {}  # (closure, r) -> whether the wavefront reaches the full set
     # Level d holds chosen[d], the closure of chosen[1:d + 1], its triggers,
     # and the last next vertex worth visiting. Level 0 is the empty prefix.
     chosen = [0] * (k + 1)
@@ -326,6 +382,26 @@ def _search_level(masks, full: int, k: int, degree: int,
                 return None, tested, False
             x = chosen[d] + 1
             d -= 1
+            # a subtree of a nonempty prefix failed: check the prefix before
+            # its next vertex x; the memo answers all but its first check
+            if stats is not None and d and x <= ends[d]:
+                slots, blue = k - d, stack[d]
+                verdict = feasible.get((blue, slots))
+                if verdict is None:
+                    z, low, _, used, closures = _wavefront(
+                        masks, full, blue, slots, deadline,
+                        cap - tested if cap is not None else None)
+                    tested += used
+                    stats["wavefront_closures"] += closures
+                    stats["memo_hits"] += used - closures
+                    stats["feasibility_checks"] += 1
+                    if z is None and low <= slots:
+                        return None, tested, True  # a budget stopped the check
+                    verdict = feasible[blue, slots] = z is not None
+                if not verdict:
+                    stats["pruned_subsets"] += (math.comb(n - x, slots)
+                                                - math.comb(n - 1 - ends[d], slots))
+                    ends[d] = x - 1
 
 
 def solve_exact(graph: Graph, *, max_k: Optional[int] = None,
@@ -336,8 +412,9 @@ def solve_exact(graph: Graph, *, max_k: Optional[int] = None,
 
     The default engine is the wavefront over closed sets (module docstring).
     Once it has found z, one enumeration level at size z returns the
-    lexicographically least witness. ``subsets_tested`` counts one per
-    successor state and one per subset of that level.
+    lexicographically least witness; it skips the prefixes that a wavefront
+    from their closure shows cannot be completed. ``subsets_tested`` counts
+    one per successor state and one per subset of that level.
 
     With ``prune=False`` sizes are tried from max(1, minimum degree) upward
     and every subset of every failing size is decided, giving a literal
@@ -353,19 +430,20 @@ def solve_exact(graph: Graph, *, max_k: Optional[int] = None,
     reports a proven lower bound and the best known upper bound.
     ``budget_subsets`` caps ``subsets_tested`` exactly, also inside a
     bulk-counted run of subsets. ``budget_secs`` is measured on the
-    monotonic clock and read at least once per 512 closures of the wavefront
-    and, in the enumeration, once per prefix whose subsets were counted:
-    after the leaves of each prefix with one slot left, which at size 1 is
-    the empty prefix, and after each bulk count past a highest r-trigger,
-    the empty prefix's included. Exhausting every size up to
+    monotonic clock and read at least once per 512 successor states of each
+    wavefront run, a feasibility check's included, and, in the enumeration,
+    once per prefix whose subsets were counted: after the leaves of each
+    prefix with one slot left, which at size 1 is the empty prefix, and
+    after each bulk count past a highest r-trigger or a failed check, the
+    empty prefix's included. Exhausting every size up to
     ``max_k`` gives the lower bound max_k + 1. When a budget stops the
     wavefront in the bucket of cost c, every cheaper state was expanded and
     none of cost c is full, so the lower bound is c + 1; in the certificate
     mode it is the size being enumerated. No lower bound is below
-    max(1, minimum degree). A budget that stops the witness level leaves
-    bounds (z, z) and no witness. A negative ``max_k`` or
-    ``budget_subsets``, or a ``budget_secs`` that is negative or not
-    finite, raises ``ValueError``.
+    max(1, minimum degree). A budget that stops the witness level, inside a
+    feasibility check too, leaves bounds (z, z) and no witness. A negative
+    ``max_k`` or ``budget_subsets``, or a ``budget_secs`` that is negative
+    or not finite, raises ``ValueError``.
     """
     n = len(graph)
     if n == 0:
@@ -393,24 +471,29 @@ def solve_exact(graph: Graph, *, max_k: Optional[int] = None,
     k_start = max(1, graph.min_degree())
     k_stop = min(max_k, n) if max_k is not None else n
 
+    stats = dict.fromkeys(("wavefront_closures", "memo_hits", "feasibility_checks",
+                           "pruned_subsets"), 0)
+
     def finish(z, witness_ids):
         witness = tuple(graph.vertices[i] for i in witness_ids)
         return SolveResult(z=z, witness=witness, subsets_tested=tested_total,
                            elapsed=time.monotonic() - started, status="exact",
-                           bounds=(z, z))
+                           bounds=(z, z), **stats)
 
     def inconclusive(low):
         # no set below the minimum degree forces, whatever stopped the search
         low = max(low, k_start)
         return SolveResult(z=None, witness=None, subsets_tested=tested_total,
                            elapsed=time.monotonic() - started, status="inconclusive",
-                           bounds=(low, max(upper, low)))
+                           bounds=(low, max(upper, low)), **stats)
 
     levels = range(k_start, k_stop + 1)
     degree = max(map(int.bit_count, masks))
     if prune:
-        z, low, high, tested_total = _wavefront(
-            masks, full, min(k_stop, upper), deadline, budget_subsets)
+        z, low, high, tested_total, closures = _wavefront(
+            masks, full, 0, min(k_stop, upper), deadline, budget_subsets)
+        stats["wavefront_closures"] = closures
+        stats["memo_hits"] = tested_total - closures
         if z is None:
             if high is not None:
                 upper = min(upper, high)
@@ -418,7 +501,8 @@ def solve_exact(graph: Graph, *, max_k: Optional[int] = None,
         levels, upper = (z,), z
     for k in levels:
         cap = budget_subsets - tested_total if budget_subsets is not None else None
-        witness_ids, tested, aborted = _search_level(masks, full, k, degree, deadline, cap)
+        witness_ids, tested, aborted = _search_level(
+            masks, full, k, degree, deadline, cap, stats if prune else None)
         tested_total += tested
         if witness_ids is not None:
             return finish(k, witness_ids)

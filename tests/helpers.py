@@ -84,6 +84,18 @@ def reference_literal_count(graph):
     raise AssertionError("unreachable: the whole vertex set forces")
 
 
+def reference_completion_size(graph, initial, limit):
+    """Fewest vertices R, at most ``limit``, that make ``initial | R`` force
+    the whole graph, found by itertools and the naive closure; None when no
+    such R exists."""
+    verts = list(graph.vertices)
+    for size in range(limit + 1):
+        for extra in itertools.combinations(verts, size):
+            if len(naive_closure(graph, set(initial) | set(extra))) == len(verts):
+                return size
+    return None
+
+
 def reference_adjacency(vertices, edges):
     """Label-set adjacency built from scratch: every vertex maps to the set
     of labels it shares an edge with, whatever the edges' order, direction

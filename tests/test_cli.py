@@ -12,7 +12,8 @@ import pytest
 
 from helpers import random_dipath_arcset
 from zfcubes import (ArcSet, TwistSpec, arcsets, build_minority_cube, build_twisted, cli,
-                     dumps_json_document, find_chain_twist, from_json_document, graphs)
+                     dumps_json_document, find_chain_twist, from_json_document, graphs,
+                     solve_exact)
 from zfcubes.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -480,3 +481,22 @@ def test_solve_manifest_names_the_engine(capsys, tmp_path):
         2, "certificate", "DocumentError")
     _, _, manifest = run_cli(capsys, "build", "hypercube", "-n", "2")
     assert "engine" not in manifest
+
+
+def test_solve_manifest_reports_the_engine_work(capsys, tmp_path):
+    # a random twisted 5-cube whose witness level prunes by feasibility checks
+    graph = build_twisted(TwistSpec.random(5, random.Random(4)))
+    path = tmp_path / "t5.json"
+    path.write_text(dumps_json_document(graph))
+    keys = ("subsets_tested", "wavefront_closures", "memo_hits", "feasibility_checks",
+            "pruned_subsets")
+    code, wavefront, manifest = run_cli(capsys, "solve", "--input", str(path))
+    result = solve_exact(graph)
+    assert code == 0
+    assert {key: manifest[key] for key in keys} == {key: getattr(result, key) for key in keys}
+    assert manifest["feasibility_checks"] > 0 and manifest["pruned_subsets"] > 0
+    assert 0 < manifest["wavefront_closures"] + manifest["memo_hits"] < manifest["subsets_tested"]
+    code, _, manifest = run_cli(capsys, "solve", "--input", str(path), "--no-prune",
+                                "--max-k", "5")
+    assert code == 1
+    assert [manifest[key] for key in keys] == [201376, 0, 0, 0, 0]

@@ -6,8 +6,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from helpers import (naive_closure, random_graph, reference_literal_count,
-                     reference_zero_forcing_number)
+from helpers import (naive_closure, random_graph, reference_completion_size,
+                     reference_literal_count, reference_zero_forcing_number)
 from zfcubes import solver
 from zfcubes import (Graph, ResourceLimitError, TwistSpec, build_hypercube,
                      build_minority_cube, build_twisted, complete_graph, cycle_graph,
@@ -150,6 +150,72 @@ def test_wavefront_certifies_minority_five():
     assert result.witness == ("00000", "00001", "00010", "00011", "00100",
                               "00101", "00110", "00111", "01000", "01001",
                               "01010", "01100", "01101")
+
+
+# The lexicographically least zero forcing sets of the random twisted 5-cubes
+# build_twisted(TwistSpec.random(5, random.Random(seed))), all of size 13.
+TWISTED_FIVE_WITNESSES = {
+    0: "00000 00001 00010 00011 00101 00110 01001 01010 01011 01101 10001 10011 10100",
+    1: "00000 00001 00010 00011 00101 00111 01000 01001 01011 01101 10111 11000 11011",
+    2: "00000 00001 00010 00011 00100 00110 01000 01010 01100 01111 10010 10100 11111",
+    3: "00000 00001 00010 00011 00101 00110 01000 01010 01011 01110 10000 10010 10110",
+    4: "00000 00001 00010 00011 00100 00101 00110 00111 01000 01011 01101 10000 11101",
+    5: "00000 00001 00010 00100 00101 00110 01000 01010 01100 01101 01110 10000 10011",
+}
+
+
+def test_default_engine_solves_random_twisted_five_cubes():
+    # The time bound rests on the witness level's feasibility prune: without
+    # it, seed 5 counts over 7 million subsets in that level.
+    started = time.monotonic()
+    for seed, witness in TWISTED_FIVE_WITNESSES.items():
+        result = solve_exact(build_twisted(TwistSpec.random(5, random.Random(seed))))
+        assert (result.z, result.status, result.bounds, result.witness) == (
+            13, "exact", (13, 13), tuple(witness.split())), seed
+        assert result.feasibility_checks > 0 and result.pruned_subsets > 0
+    assert time.monotonic() - started < 5.0
+
+
+def test_wavefront_from_closed_starts_matches_brute_force():
+    # From closure(P), the cheapest path costs the fewest vertices R that make
+    # P | R force. The witness level's feasibility check rests on this.
+    rng = random.Random(0x5747)
+    reached = 0
+    for _ in range(400):
+        g = random_graph(rng.randint(1, 9), rng, p=rng.uniform(0.1, 0.8))
+        start = naive_closure(g, rng.sample(g.vertices, rng.randint(0, len(g) // 2)))
+        limit = rng.randint(0, len(g))
+        z, low, _, tested, closures = solver._wavefront(
+            g.neighbor_masks, (1 << len(g)) - 1, _mask(g, start), limit, None, None)
+        assert z == reference_completion_size(g, start, limit), (sorted(start), limit)
+        assert low == (limit + 1 if z is None else z)
+        assert 0 <= closures <= tested
+        reached += z is not None
+    assert 100 < reached < 400
+
+
+def test_a_budget_inside_a_feasibility_check_leaves_z_bounds(monkeypatch):
+    g = build_twisted(TwistSpec.random(5, random.Random(4)))
+    whole = solve_exact(g)
+    calls = []
+    wavefront = solver._wavefront
+
+    def spy(*args):
+        out = wavefront(*args)
+        calls.append((args[-1], out[3]))  # (budget left on entry, successors)
+        return out
+
+    monkeypatch.setattr(solver, "_wavefront", spy)
+    cap = whole.subsets_tested + 1
+    assert solve_exact(g, budget_subsets=cap).witness == whole.witness
+    monkeypatch.undo()
+    # the first run certifies z; the others are the witness level's checks
+    assert len(calls) == 1 + whole.feasibility_checks
+    for left, used in calls[1:3] + calls[-1:]:
+        stop = cap - left + used // 2
+        result = solve_exact(g, budget_subsets=stop)
+        assert (result.status, result.witness, result.bounds, result.subsets_tested) == (
+            "inconclusive", None, (13, 13), stop)
 
 
 def test_wavefront_matches_reference_on_random_graphs():
