@@ -24,7 +24,8 @@ from .minority import (MinorityCube, bridge_arc_at, build_closed_form,
                        minority_twist_spec, minority_zero_forcing_set)
 from .solver import SolveResult, lower_bound, solve_exact, upper_bound
 from .serialize import (GraphDocument, dumps_json_document, from_dot,
-                        from_json_document, to_dot, to_json_document)
+                        from_json_document, json_document_chunks, to_dot,
+                        to_json_document)
 
 __version__ = "0.1.0"
 
@@ -39,7 +40,7 @@ __all__ = [
     "from_dot", "from_json_document", "hamming_distance", "has_in_arc",
     "has_out_arc", "identity_matching", "is_chain_twist",
     "is_chain_twist_path", "is_forcing_arc_set", "is_zero_forcing_set",
-    "isolated_vertices", "lower_bound", "minority_twist_spec",
+    "isolated_vertices", "json_document_chunks", "lower_bound", "minority_twist_spec",
     "minority_zero_forcing_set", "path_graph", "product_arcset",
     "replay_trace", "solve_exact", "to_dot", "to_json_document",
     "trace_to_arcset", "transposition_matching", "twin", "twisted_edges",

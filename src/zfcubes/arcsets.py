@@ -400,18 +400,17 @@ def find_chain_twist(arcset: ArcSet, method: str = "exhaustive") -> Optional[lis
 def _color_change(nbr, blue: bytearray, target: Optional[dict] = None) -> list:
     """Run the colour change rule over vertex ids to its fixed point.
 
-    ``nbr`` lists each vertex's neighbour ids and ``blue`` marks the blue
-    vertices; it is updated in place. A blue vertex with exactly one white
-    neighbour forces it, the smallest ready forcer id first. With ``target``
-    (tail id -> head id), the arcs of a dipath forest whose chain-initial
-    vertices are the blue ones, only tails force. A ready tail's one white
-    neighbour is then its head, because only that tail can force the head.
+    ``nbr`` lists each vertex's neighbour ids and ``blue`` holds 1 for a
+    blue vertex and 0 for a white one; it is updated in place. A blue vertex
+    with exactly one white neighbour forces it, the smallest ready forcer id
+    first. With ``target`` (tail id -> head id), the arcs of a dipath forest
+    whose chain-initial vertices are the blue ones, only tails force. A ready
+    tail's one white neighbour is then its head, because only that tail can
+    force the head.
     Returns the (forcer, forced) id pairs in execution order.
     """
     n = len(nbr)
-    white_count = [0] * n
-    for v in range(n):
-        white_count[v] = sum(1 for w in nbr[v] if not blue[w])
+    white_count = [len(row) - sum(map(blue.__getitem__, row)) for row in nbr]
     heap = [v for v in range(n) if blue[v] and white_count[v] == 1]  # ascending: a heap
     forces = []
     while heap:

@@ -30,7 +30,10 @@ from .forcing import closure
 from .graphs import TwistSpec, _check_dimension, build_hypercube, build_twisted, \
     identity_matching
 from .minority import build_minority_cube
-from .serialize import dumps_json_document, from_dot, from_json_document, to_dot
+# dumps_json_document stays bound here for perfbench/spans.py; commands emit
+# through json_document_chunks
+from .serialize import dumps_json_document, from_dot, from_json_document, \
+    json_document_chunks, to_dot
 from .solver import solve_exact
 
 _manifest: dict = {}
@@ -51,22 +54,44 @@ def _read_input(path: str) -> str:
     return raw.decode("utf-8", errors="replace")
 
 
-def _load_document(path: str):
-    text = _read_input(path)
+def _add_phase(phase: str, started: float) -> None:
+    _manifest["phase_secs"][phase] += time.perf_counter() - started
+
+
+def _load(parse, path: str):
+    """``parse`` applied to the input's text, timed as the load phase."""
+    started = time.perf_counter()
+    try:
+        return parse(_read_input(path))
+    finally:
+        _add_phase("load", started)
+
+
+def _parse_document(text: str):
     if text.lstrip().startswith(("graph", "digraph")):
         return from_dot(text)
     return from_json_document(text)
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None or output == "-":
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise DocumentError(f"cannot write {output}: {exc.strerror}") from exc
+def _emit(render, output: str | None) -> None:
+    """Write the payload's text chunks to stdout or the output file.
+
+    ``render()`` checks the payload before it returns the chunks, so a
+    refused payload writes nothing, and rendering counts as emitting.
+    """
+    started = time.perf_counter()
+    try:
+        chunks = render()
+        if output is None or output == "-":
+            sys.stdout.writelines(chunks)
+        else:
+            try:
+                with open(output, "w", encoding="utf-8") as handle:
+                    handle.writelines(chunks)
+            except OSError as exc:
+                raise DocumentError(f"cannot write {output}: {exc.strerror}") from exc
+    finally:
+        _add_phase("emit", started)
 
 
 def _parse_twist_spec_file(text: str) -> TwistSpec:
@@ -80,23 +105,28 @@ def _parse_twist_spec_file(text: str) -> TwistSpec:
     if not isinstance(data, dict) or not isinstance(data.get("levels"), list):
         raise DocumentError("spec file must be an object with a 'levels' list")
     _check_dimension(len(data["levels"]))  # before any level's table is built
-    matchings = []
+    levels = []
     for level, entry in enumerate(data["levels"], start=1):
         table = identity_matching(level)
+        labels = list(table)
         if entry == "identity":
             pass
         elif isinstance(entry, dict):
-            for key, value in entry.items():
-                if key not in table or not isinstance(value, str) or value not in table:
-                    bad = value if key in table else key
-                    raise DocumentError(f"{bad!r} is not a {level - 1}-bit string",
-                                        location=f"levels[{level - 1}]")
-                table[key] = value
+            # one bulk check; only a failing table is walked, to name the bad string
+            values = entry.values()
+            if not (table.keys() >= entry.keys() and set(map(type, values)) <= {str}
+                    and table.keys() >= set(values)):
+                for key, value in entry.items():
+                    if key not in table or not isinstance(value, str) or value not in table:
+                        bad = value if key in table else key
+                        raise DocumentError(f"{bad!r} is not a {level - 1}-bit string",
+                                            location=f"levels[{level - 1}]")
+            table.update(entry)
         else:
             raise DocumentError("each level must be 'identity' or an override table",
                                 location=f"levels[{level - 1}]")
-        matchings.append(table)
-    return TwistSpec.from_level_matchings(matchings)
+        levels.append((labels, table))
+    return TwistSpec._from_level_tables(levels)
 
 
 def cmd_build(args) -> int:
@@ -104,7 +134,7 @@ def cmd_build(args) -> int:
         if args.n is None:
             raise DocumentError("build hypercube requires -n")
         graph = build_hypercube(args.n)
-        text = dumps_json_document(graph)
+        _emit(lambda: json_document_chunks(graph), args.output)
     elif args.kind == "minority":
         if args.n is None:
             raise DocumentError("build minority requires -n")
@@ -112,18 +142,17 @@ def cmd_build(args) -> int:
         extras = {}
         if cube.bridge_arc is not None:
             extras["bridge_arc"] = list(cube.bridge_arc)
-        text = dumps_json_document(cube.graph, cube.arcs, extras=extras)
+        _emit(lambda: json_document_chunks(cube.graph, cube.arcs, extras=extras), args.output)
     else:  # twisted-from-spec
         if args.spec_file is None:
             raise DocumentError("build twisted-from-spec requires --spec-file")
-        spec = _parse_twist_spec_file(_read_input(args.spec_file))
-        text = dumps_json_document(build_twisted(spec))
-    _emit(text, args.output)
+        graph = build_twisted(_load(_parse_twist_spec_file, args.spec_file))
+        _emit(lambda: json_document_chunks(graph), args.output)
     return 0
 
 
 def cmd_verify(args) -> int:
-    doc = _load_document(args.input)
+    doc = _load(_parse_document, args.input)
     graph = doc.graph
     if args.mode == "set":
         if args.set is not None:
@@ -176,7 +205,7 @@ def cmd_verify(args) -> int:
 
 def cmd_solve(args) -> int:
     _manifest["engine"] = "certificate" if args.no_prune else "wavefront"
-    doc = _load_document(args.input)
+    doc = _load(_parse_document, args.input)
     result = solve_exact(doc.graph,
                          max_k=args.max_k,
                          budget_subsets=args.budget_subsets,
@@ -188,7 +217,7 @@ def cmd_solve(args) -> int:
         "status": result.status,
         "bounds": list(result.bounds),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.output)
+    _emit(lambda: [json.dumps(payload, indent=2) + "\n"], args.output)
     for key in ("subsets_tested", "wavefront_closures", "memo_hits",
                 "feasibility_checks", "pruned_subsets"):
         _manifest[key] = getattr(result, key)
@@ -196,14 +225,13 @@ def cmd_solve(args) -> int:
 
 
 def cmd_export(args) -> int:
-    doc = _load_document(args.input)
+    doc = _load(_parse_document, args.input)
     fmt = "dot" if args.dot else args.format
     if fmt == "dot":
-        text = to_dot(doc.graph, doc.arcs)
+        _emit(lambda: [to_dot(doc.graph, doc.arcs)], args.output)
     else:
-        text = dumps_json_document(doc.graph, doc.arcs, doc.initial_set,
-                                   extras=doc.extras)
-    _emit(text, args.output)
+        _emit(lambda: json_document_chunks(doc.graph, doc.arcs, doc.initial_set,
+                                           extras=doc.extras), args.output)
     return 0
 
 
@@ -264,7 +292,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     _manifest.clear()
     _manifest.update({"command": argv[0] if argv else None, "parameters": argv[1:],
-                      "version": __version__})
+                      "version": __version__,
+                      "phase_secs": {"load": 0.0, "compute": 0.0, "emit": 0.0}})
     started = time.monotonic()
     parser = _build_parser()
     try:
@@ -274,6 +303,7 @@ def main(argv=None) -> int:
         if code != 0:
             _write_manifest("error", started)
         return code
+    handler_started = time.perf_counter()
     try:
         code = globals()[args.handler](args)
     except (DocumentError, MatchingError, ResourceLimitError, ValueError,
@@ -281,12 +311,17 @@ def main(argv=None) -> int:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         _manifest["error_type"] = type(exc).__name__
         code = 2
+    # compute: the handler's time outside loading and emitting
+    phases = _manifest["phase_secs"]
+    phases["compute"] = max(0.0, time.perf_counter() - handler_started
+                            - phases["load"] - phases["emit"])
     _write_manifest({0: "ok", 1: "fail"}.get(code, "error"), started)
     return code
 
 
 def _write_manifest(outcome: str, started: float) -> None:
     _manifest["elapsed_secs"] = round(time.monotonic() - started, 3)
+    _manifest["phase_secs"] = {k: round(v, 6) for k, v in _manifest["phase_secs"].items()}
     # ru_maxrss is in KiB on Linux: the process's peak so far, not this run's
     _manifest["peak_rss_mb"] = round(
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)

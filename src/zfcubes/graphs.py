@@ -10,6 +10,7 @@ canonical vertex order.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Mapping
 
@@ -69,9 +70,11 @@ class Graph:
                 if u == v or (a is not None and a == b):
                     raise ValueError(f"loop at {u!r}")
                 raise ValueError(f"edge ({u!r}, {v!r}) uses an unknown vertex")
-            rows[a].append(b)
-            rows[b].append(a)
-        self.neighbor_ids = tuple(map(tuple, map(sorted, map(set, rows))))
+            row = rows[a]
+            if b not in row:  # a repeated edge is skipped; rows are short
+                row.append(b)
+                rows[b].append(a)
+        self.neighbor_ids = tuple(map(tuple, map(sorted, rows)))
 
     @classmethod
     def _from_ids(cls, vertices: list, rows: list, dimension: int | None) -> "Graph":
@@ -193,14 +196,17 @@ class TwistSpec:
             return
         if left.dimension != right.dimension:
             raise MatchingError("child plans must have equal dimension")
-        sub = left.dimension
-        labels = set(bitstrings(sub))
-        table = dict(matching)
-        if set(table) != labels or set(table.values()) != labels:
+        self._join(dict(matching), bitstrings(left.dimension))
+
+    def _join(self, table: dict, labels: list) -> None:
+        # labels: the strings of length self.left.dimension, in any order
+        domain = set(labels)
+        if table.keys() != domain or set(table.values()) != domain:
+            sub = self.left.dimension
             raise MatchingError(
                 f"matching must be a bijection on the {2 ** sub} strings of length {sub}")
         self.matching = table
-        self.dimension = sub + 1
+        self.dimension = self.left.dimension + 1
 
     @property
     def is_leaf(self) -> bool:
@@ -232,6 +238,21 @@ class TwistSpec:
         return spec
 
     @classmethod
+    def _from_level_tables(cls, levels: Iterable[tuple[list, dict]]) -> "TwistSpec":
+        """:meth:`from_level_matchings` over ``(labels, table)`` pairs, where
+        ``labels`` lists the keys of the :func:`identity_matching` that the
+        caller turned into ``table``; the bijection check reuses them instead
+        of formatting the level's strings again, and takes the table over
+        without a copy."""
+        spec = cls.leaf()
+        for labels, table in levels:
+            node = cls.__new__(cls)
+            node.left = node.right = spec
+            node._join(table, labels)
+            spec = node
+        return spec
+
+    @classmethod
     def random(cls, dimension: int, rng) -> "TwistSpec":
         """Fully random plan; children are drawn independently."""
         if dimension == 0:
@@ -246,7 +267,8 @@ class TwistSpec:
 
 def identity_matching(dimension: int) -> dict[str, str]:
     """The standard matching joining copies at the given level."""
-    return {bits: bits for bits in bitstrings(dimension - 1)}
+    labels = bitstrings(dimension - 1)
+    return dict(zip(labels, labels))
 
 
 def transposition_matching(dimension: int, first: str, second: str) -> dict[str, str]:
@@ -327,13 +349,23 @@ def twisted_edges(graph: Graph) -> list[tuple[str, str]]:
     not a bit string, or with endpoints of unequal length, are never twisted.
     """
     verts = graph.vertices
+    return [(verts[a], verts[b]) for a, row in enumerate(twisted_rows(graph)) for b in row]
+
+
+def twisted_rows(graph: Graph) -> list[list[int]]:
+    """For each vertex id ``a``, the ascending ids ``b > a`` of its twisted
+    neighbours: the rule of :func:`twisted_edges`, over vertex ids."""
+    verts = graph.vertices
     if not all(isinstance(v, str) for v in verts):
         raise ValueError("twisted edges are defined for bit-string labelled graphs")
     lengths = [-1 if v.strip("01") else len(v) for v in verts]  # -1: not bits
     ids = [vertex_id(v) if n >= 0 else 0 for v, n in zip(verts, lengths)]
-    return [(verts[a], verts[b]) for a, nbrs in enumerate(graph.neighbor_ids)
-            for b in nbrs if b > a and lengths[b] == lengths[a] >= 0
-            and (x := ids[a] ^ ids[b]) & (x - 1)]
+    later = [nbrs[bisect_right(nbrs, a):] for a, nbrs in enumerate(graph.neighbor_ids)]
+    if len(set(lengths)) <= 1 and ids == list(range(len(ids))):
+        # bit strings of one length, each at the id of its value
+        return [[b for b in row if (y := a ^ b) & (y - 1)] for a, row in enumerate(later)]
+    return [[b for b in row if lengths[b] == lengths[a] >= 0 and (y := ids[a] ^ ids[b]) & (y - 1)]
+            for a, row in enumerate(later)]
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:

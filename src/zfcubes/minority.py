@@ -20,8 +20,7 @@ from functools import cached_property
 
 from .arcsets import ArcSet
 from .errors import ResourceLimitError
-from .graphs import (Graph, TwistSpec, bitstrings, build_twisted, identity_matching,
-                     transposition_matching, twisted_edges)
+from .graphs import Graph, TwistSpec, bitstrings, build_twisted, identity_matching, twisted_edges
 
 MIN_DIMENSION = 3
 MAX_DIMENSION = 12
@@ -75,12 +74,15 @@ def minority_twist_spec(n: int) -> TwistSpec:
     twisted edges of that level.
     """
     _check_dimension(n)
-    matchings = [identity_matching(level) for level in (1, 2, 3)]
-    for level in range(4, n + 1):
-        zeros = "0" * (level - 4)
-        matchings.append(
-            transposition_matching(level, "01" + zeros + "0", "10" + zeros + "1"))
-    return TwistSpec.from_level_matchings(matchings)
+    levels = []
+    for level in range(1, n + 1):
+        table = identity_matching(level)
+        levels.append((list(table), table))
+        if level >= 4:
+            zeros = "0" * (level - 4)
+            first, second = "01" + zeros + "0", "10" + zeros + "1"
+            table[first], table[second] = second, first
+    return TwistSpec._from_level_tables(levels)
 
 
 def bridge_arc_at(level: int) -> tuple[str, str]:

@@ -13,24 +13,33 @@ initial set, and free-form annotations::
     }
 
 Bit strings are text with the leftmost character most significant;
-``twisted_edges`` is derived on export and ignored on import. The DOT form
-writes plain edges as ``--`` and arcs as ``->`` (a mixed dialect: arc lines
-mark direction inside an otherwise undirected graph) and flags twisted edges
-with ``color=red``. Both formats round-trip exactly through
-:func:`from_json_document` / :func:`from_dot`.
+``twisted_edges`` is derived on export and ignored on import: a parsed text
+drops it before the graph is built. The DOT form writes plain edges as
+``--`` and arcs as ``->`` (a mixed dialect: arc lines mark direction inside
+an otherwise undirected graph) and flags twisted edges with ``color=red``.
+Both formats round-trip exactly through :func:`from_json_document` /
+:func:`from_dot`.
+
+Both writers work over vertex ids: the edges come from ``neighbor_ids``
+and the twisted edges from :func:`~zfcubes.graphs.twisted_rows`, the one
+twisted-edge rule. :func:`json_document_chunks` streams the JSON text in
+chunks, which the CLI writes as they come, so the whole text of a large
+cube never sits in memory; :func:`dumps_json_document` joins them.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from typing import Iterator
 
 from .arcsets import ArcSet
 from .errors import DocumentError
-from .graphs import Graph, twisted_edges
+from .graphs import Graph, twisted_edges, twisted_rows
 
 _RESERVED_KEYS = ("dimension", "vertices", "edges", "arcs", "twisted_edges", "set")
 
@@ -45,13 +54,17 @@ class GraphDocument:
     extras: dict = field(default_factory=dict)
 
 
-def to_json_document(graph: Graph, arcs: ArcSet | None = None,
-                     initial_set=None, extras: dict | None = None) -> dict:
-    """Assemble the document dict; key order is fixed for byte-stable dumps."""
+def _check_labels(graph: Graph) -> None:
     for v in graph.vertices:
         if not isinstance(v, str):
             raise ValueError(
                 f"only string-labelled graphs can be exported, found {v!r}; relabel first")
+
+
+def to_json_document(graph: Graph, arcs: ArcSet | None = None,
+                     initial_set=None, extras: dict | None = None) -> dict:
+    """Assemble the document dict; key order is fixed for byte-stable dumps."""
+    _check_labels(graph)
     doc: dict = {
         "dimension": graph.dimension,
         "vertices": list(graph.vertices),
@@ -68,6 +81,13 @@ def to_json_document(graph: Graph, arcs: ArcSet | None = None,
     return doc
 
 
+_PAIR_SEP = "\n    ],\n    [\n      "
+# About 350 KB of text per chunk on a 12-cube. With chunks of 256 rows the
+# benchmark's cube-pipeline, which keeps stdout in memory, read a 2-4%
+# higher peak RSS than with this size.
+_ROWS_PER_CHUNK = 1024
+
+
 def _dump_entry(key, value) -> str:
     """One top-level ``"key": value`` line group of the indent-2 layout."""
     if isinstance(key, str) and type(value) is list:
@@ -82,9 +102,61 @@ def _dump_entry(key, value) -> str:
                 and set(map(type, chain.from_iterable(value))) == {str}):
             leaves = map(enc, chain.from_iterable(value))
             pairs = map(",\n      ".join, zip(leaves, leaves))
-            return (head + "[\n    [\n      " + "\n    ],\n    [\n      ".join(pairs)
-                    + "\n    ]\n  ]")
+            return head + "[\n    [\n      " + _PAIR_SEP.join(pairs) + "\n    ]\n  ]"
     return json.dumps({key: value}, indent=2)[2:-2]
+
+
+def _pair_entry(key: str, enc: list, rows) -> Iterator[str]:
+    """The entry of the pairs (a, b) for b in ``rows[a]``, in chunks of
+    rows; ``enc`` holds each vertex id's encoded label."""
+    yield f'  "{key}": '
+    opening, batch = "[\n    [\n      ", []
+    for a, row in enumerate(rows):
+        if row:
+            lead = enc[a] + ",\n      "
+            batch.append(lead + (_PAIR_SEP + lead).join(map(enc.__getitem__, row)))
+            if len(batch) == _ROWS_PER_CHUNK:
+                yield opening + _PAIR_SEP.join(batch)
+                opening, batch = _PAIR_SEP, []
+    if batch:
+        yield opening + _PAIR_SEP.join(batch)
+    yield "\n    ]\n  ]" if batch or opening is _PAIR_SEP else "[]"
+
+
+def json_document_chunks(graph: Graph, arcs: ArcSet | None = None,
+                         initial_set=None, extras: dict | None = None) -> Iterator[str]:
+    """The text of :func:`to_json_document`'s document, as an iterator of chunks.
+
+    Everything is checked, and every entry but the two edge lists encoded,
+    before this returns, so a refused document raises before any chunk is
+    written. The edges and twisted edges are then written lazily over vertex
+    ids, from ``neighbor_ids``, :func:`twisted_rows` and each label encoded
+    once, without lists of label pairs.
+    """
+    _check_labels(graph)
+    enc = list(map(encode_basestring_ascii, graph.vertices))
+    head = ("{\n" + _dump_entry("dimension", graph.dimension) + ',\n  "vertices": '
+            + ("[\n    " + ",\n    ".join(enc) + "\n  ]" if enc else "[]") + ",\n")
+    middle = ",\n" + _dump_entry(
+        "arcs", [[u, v] for u, v in arcs.sorted_arcs()] if arcs is not None else None) + ",\n"
+    rest = []
+    if initial_set is not None:
+        rest.append(_dump_entry("set", sorted(initial_set, key=graph.index.__getitem__)))
+    for key in sorted(extras or {}):
+        if key in _RESERVED_KEYS:
+            raise ValueError(f"extra key {key!r} clashes with a document key")
+        rest.append(_dump_entry(key, extras[key]))
+    tail = "".join(",\n" + entry for entry in rest) + "\n}\n"
+    return _document_chunks(graph.neighbor_ids, enc, head, middle, twisted_rows(graph), tail)
+
+
+def _document_chunks(nbr, enc, head, middle, twisted, tail) -> Iterator[str]:
+    yield head
+    yield from _pair_entry("edges", enc,
+                           (row[bisect_right(row, a):] for a, row in enumerate(nbr)))
+    yield middle
+    yield from _pair_entry("twisted_edges", enc, twisted)
+    yield tail
 
 
 def dumps_json_document(graph: Graph, arcs: ArcSet | None = None,
@@ -94,12 +166,11 @@ def dumps_json_document(graph: Graph, arcs: ArcSet | None = None,
     ``json.dumps`` uses its C encoder only without ``indent``; with it, every
     value goes through the pure-Python ``_iterencode``, which dominated the
     export of large cubes. The indent-2 layout is written here directly
-    instead: lists of strings and of string pairs are joined from leaves
-    encoded by the C ``encode_basestring_ascii``, and every other value is
-    left to ``json.dumps``.
+    instead, by :func:`json_document_chunks`: lists of strings and of string
+    pairs are joined from leaves encoded by the C ``encode_basestring_ascii``,
+    and every other value is left to ``json.dumps``.
     """
-    doc = to_json_document(graph, arcs, initial_set, extras)
-    return "{\n" + ",\n".join(_dump_entry(k, v) for k, v in doc.items()) + "\n}\n"
+    return "".join(json_document_chunks(graph, arcs, initial_set, extras))
 
 
 def _fail(message: str, location: str) -> None:
@@ -110,7 +181,7 @@ def from_json_document(data) -> GraphDocument:
     """Parse and validate a JSON document (str, bytes, or an already-loaded dict).
 
     Raises :class:`DocumentError` pointing at the offending location; nothing
-    partial is ever returned.
+    partial is ever returned. A dict passed in is never changed.
     """
     if isinstance(data, (bytes, bytearray)):
         data = data.decode("utf-8", errors="replace")
@@ -120,6 +191,8 @@ def from_json_document(data) -> GraphDocument:
         except json.JSONDecodeError as exc:
             raise DocumentError(f"invalid JSON: {exc.msg}",
                                 location=f"line {exc.lineno} column {exc.colno}") from exc
+        if isinstance(data, dict):
+            data.pop("twisted_edges", None)  # ignored; free it before the graph is built
     if not isinstance(data, dict):
         _fail("document must be a JSON object", "$")
 
@@ -142,6 +215,9 @@ def from_json_document(data) -> GraphDocument:
         vertices = sorted(vertices)  # equal-length bit strings: text order is id order
 
     def pair_list(key: str, required: bool):
+        """The raw list once every item is a two-item list (None for a
+        missing optional key). Members are checked by their users, and
+        ``locate`` names the first bad pair of a refused list."""
         raw = data.get(key)
         if raw is None:
             if required:
@@ -149,31 +225,37 @@ def from_json_document(data) -> GraphDocument:
             return None
         if not isinstance(raw, list):
             _fail(f"{key} must be a list of pairs", key)
-        # One bulk check; only a failing list is walked item by item below,
-        # to name the first bad location.
         if set(map(type, raw)) <= {list} and set(map(len, raw)) <= {2}:
-            members = list(chain.from_iterable(raw))
-            if set(map(type, members)) <= {str} and known.issuperset(members):
-                return raw
-        pairs = []
-        for i, item in enumerate(raw):
+            return raw
+        locate(key)
+
+    def locate(key: str) -> None:
+        for i, item in enumerate(data[key]):
             if (not isinstance(item, list) or len(item) != 2
                     or not all(isinstance(x, str) for x in item)):
                 _fail("expected a pair of vertex labels", f"{key}[{i}]")
             u, v = item
             if u not in known or v not in known:
                 _fail(f"unknown vertex in pair [{u!r}, {v!r}]", f"{key}[{i}]")
-            pairs.append((u, v))
-        return pairs
 
     edges = pair_list("edges", required=True)
     try:
+        # Graph looks every member up; a miss or an unhashable member raises
         graph = Graph(vertices, edges, dimension=dimension)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
+        locate("edges")
         raise DocumentError(str(exc), location="edges") from exc
 
     arc_pairs = pair_list("arcs", required=False)
-    arcs = ArcSet(graph, arc_pairs) if arc_pairs is not None else None
+    arcs = None
+    if arc_pairs is not None:
+        try:
+            known_members = all(map(graph.index.__contains__, chain.from_iterable(arc_pairs)))
+        except TypeError:  # an unhashable member
+            known_members = False
+        if not known_members:
+            locate("arcs")
+        arcs = ArcSet(graph, arc_pairs)
 
     initial = data.get("set")
     if initial is not None:
@@ -190,26 +272,43 @@ def from_json_document(data) -> GraphDocument:
 
 def to_dot(graph: Graph, arcs: ArcSet | None = None, name: str = "zfcubes") -> str:
     """Render the graph in DOT, arcs as ``->`` and twisted edges in red."""
-    for v in graph.vertices:
+    verts = graph.vertices
+    for v in verts:
         if not isinstance(v, str):
             raise ValueError(f"only string-labelled graphs can be exported, found {v!r}")
-    arc_pairs = arcs.arcs if arcs is not None else frozenset()
-    twisted = set(twisted_edges(graph))
+    quoted = [f'"{v}"' for v in verts]
+    n = len(verts)
+    # the lines of arcs and twisted edges, keyed by lo * n + hi over ids; of
+    # two opposite arcs, the one from the lower id is written
+    special: dict[int, str] = {}
+    if arcs is not None:
+        get = graph.index.get
+        for u, v in arcs.arcs:
+            a, b = get(u), get(v)
+            if a is not None and b is not None and a != b:
+                stmt = f"  {quoted[a]} -> {quoted[b]}"
+                if a < b:
+                    special[a * n + b] = stmt
+                else:
+                    special.setdefault(b * n + a, stmt)
+    for a, row in enumerate(twisted_rows(graph)):
+        for b in row:
+            key = a * n + b
+            special[key] = special.get(key, f"  {quoted[a]} -- {quoted[b]}") + " [color=red]"
+    touched = {key // n for key in special}
     lines = [f"graph {name} {{"]
     if graph.dimension is not None:
         lines.append(f'  dimension="{graph.dimension}";')
-    for v in graph.vertices:
-        lines.append(f'  "{v}";')
-    for u, v in graph.edges():
-        if (u, v) in arc_pairs:
-            stmt = f'"{u}" -> "{v}"'
-        elif (v, u) in arc_pairs:
-            stmt = f'"{v}" -> "{u}"'
-        else:
-            stmt = f'"{u}" -- "{v}"'
-        if (u, v) in twisted:
-            stmt += " [color=red]"
-        lines.append(f"  {stmt};")
+    lines += [f"  {q};" for q in quoted]
+    lookup = special.get
+    for a, nbrs in enumerate(graph.neighbor_ids):
+        later = nbrs[bisect_right(nbrs, a):]
+        plain = f"  {quoted[a]} -- "
+        if a in touched:
+            base = a * n
+            lines += [(lookup(base + b) or plain + quoted[b]) + ";" for b in later]
+        elif later:
+            lines.append(plain + (";\n" + plain).join(map(quoted.__getitem__, later)) + ";")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 from helpers import random_dipath_arcset
-from zfcubes import (ArcSet, TwistSpec, arcsets, build_minority_cube, build_twisted, cli,
-                     dumps_json_document, find_chain_twist, from_json_document, graphs,
-                     solve_exact)
+from zfcubes import (ArcSet, GraphDocument, TwistSpec, arcsets, build_minority_cube,
+                     build_twisted, cli, dumps_json_document, find_chain_twist,
+                     from_json_document, graphs, serialize, solve_exact, to_dot,
+                     to_json_document)
 from zfcubes.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -500,3 +501,116 @@ def test_solve_manifest_reports_the_engine_work(capsys, tmp_path):
                                 "--max-k", "5")
     assert code == 1
     assert [manifest[key] for key in keys] == [201376, 0, 0, 0, 0]
+
+
+def _levels(spec):
+    tables = []
+    while not spec.is_leaf:
+        assert spec.left is spec.right
+        tables.append(spec.matching)
+        spec = spec.left
+    return tables[::-1]
+
+
+def test_streamed_output_is_the_document(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(serialize, "_ROWS_PER_CHUNK", 7)  # many chunks per edge list
+    spec = TwistSpec.from_level_matchings(
+        dict(zip(labels, random.Random(m).sample(labels, len(labels))))
+        for m, labels in enumerate(map(graphs.bitstrings, range(7))))
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"levels": _levels(spec)}))
+    cube = build_minority_cube(7)
+    m7 = tmp_path / "m7.json"
+    m7.write_text(dumps_json_document(cube.graph, cube.arcs, cube.zero_forcing_set(),
+                                      extras={"note": ["x", 1]}))
+    loaded = from_json_document(m7.read_text())
+    expected = {
+        ("build", "hypercube", "-n", "6"): to_json_document(graphs.build_hypercube(6)),
+        ("build", "minority", "-n", "7"): to_json_document(
+            cube.graph, cube.arcs, extras={"bridge_arc": list(cube.bridge_arc)}),
+        ("build", "twisted-from-spec", "--spec-file", str(plan)):
+            to_json_document(build_twisted(spec)),
+        ("export", "--input", str(m7)): to_json_document(
+            loaded.graph, loaded.arcs, loaded.initial_set, loaded.extras),
+    }
+    expected = {argv: json.dumps(doc, indent=2) + "\n" for argv, doc in expected.items()}
+    expected[("export", "--dot", "--input", str(m7))] = to_dot(loaded.graph, loaded.arcs)
+    assert expected[("export", "--input", str(m7))] == m7.read_text()
+    for argv, text in expected.items():
+        code, out, manifest = run_cli(capsys, *argv)
+        assert (code, manifest["outcome"]) == (0, "ok"), argv
+        assert out == text, argv
+        output = tmp_path / "out.txt"
+        code, out, _ = run_cli(capsys, *argv, "--output", str(output))
+        assert (code, out) == (0, ""), argv
+        assert output.read_text() == text, argv
+
+
+def test_a_failed_export_writes_nothing(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "q2.json"
+    path.write_text(dumps_json_document(graphs.build_hypercube(2)))
+    relabelled = graphs.build_hypercube(2).relabel(graphs.vertex_id)
+
+    def load(text):  # a document the emitter refuses: integer labels
+        return GraphDocument(graph=relabelled)
+
+    monkeypatch.setattr(cli, "from_json_document", load)
+    output = tmp_path / "out.json"
+    for extra in ([], ["--output", str(output)], ["--dot"]):
+        code, out, manifest = run_cli(capsys, "export", "--input", str(path), *extra)
+        assert (code, out, manifest["error_type"]) == (2, "", "ValueError"), extra
+    assert not output.exists()
+
+
+@pytest.mark.parametrize("argv, busy", [
+    (["build", "minority", "-n", "8"], ("compute", "emit")),
+    (["verify", "arcs", "--input", "{m8}"], ("load", "compute")),
+    (["verify-set", "--input", "{m8}"], ("load", "compute")),
+    (["solve", "--input", "{q3}"], ("load", "compute", "emit")),
+    (["export", "--dot", "--input", "{m8}"], ("load", "emit")),
+    (["export", "--input", "{m8}"], ("load", "emit")),
+])
+def test_manifest_phase_timings(capsys, tmp_path, argv, busy):
+    cube = build_minority_cube(8)
+    paths = {"m8": tmp_path / "m8.json", "q3": tmp_path / "q3.json"}
+    paths["m8"].write_text(dumps_json_document(cube.graph, cube.arcs, cube.zero_forcing_set()))
+    paths["q3"].write_text(dumps_json_document(graphs.build_hypercube(3)))
+    argv = [arg.format(**paths) for arg in argv]
+    code, out, manifest = run_cli(capsys, *argv)
+    assert code == 0
+    phases = manifest["phase_secs"]
+    assert sorted(phases) == ["compute", "emit", "load"]
+    assert all(phases[name] > 0 for name in busy), phases
+    if "load" not in busy:
+        assert phases["load"] == 0.0
+    assert sum(phases.values()) <= manifest["elapsed_secs"] + 0.002
+    assert "phase_secs" not in out
+
+
+def test_manifest_phase_timings_on_errors(capsys, tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text('{"vertices": ["00",')
+    code, out, manifest = run_cli(capsys, "verify", "arcs", "--input", str(path))
+    assert (code, out, manifest["error_type"]) == (2, "", "DocumentError")
+    phases = manifest["phase_secs"]
+    assert phases["load"] > 0 and phases["emit"] == 0.0 and phases["compute"] >= 0
+    assert main(["build", "nonsense"]) == 2  # refused by the parser: no phase ran
+    usage = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert usage["phase_secs"] == {"load": 0.0, "compute": 0.0, "emit": 0.0}
+
+
+def test_spec_file_plans_equal_the_level_matchings():
+    rng = random.Random(12)
+    for n in range(0, 13):
+        tables = [dict(zip(labels, rng.sample(labels, len(labels))))
+                  for labels in map(graphs.bitstrings, range(n))]
+        levels = [table if rng.random() < 0.7 else "identity" for table in tables]
+        partial = [{k: v for k, v in table.items() if k != v or rng.random() < 0.5}
+                   if table != "identity" else table for table in levels]
+        expected = TwistSpec.from_level_matchings(
+            graphs.identity_matching(m) if level == "identity" else level
+            for m, level in enumerate(levels, start=1))
+        for plan in (levels, partial):
+            spec = cli._parse_twist_spec_file(json.dumps({"levels": plan}))
+            assert spec.dimension == n
+            assert _levels(spec) == _levels(expected)

@@ -12,6 +12,7 @@ from zfcubes import (Graph, MatchingError, ResourceLimitError, TwistSpec,
                      complete_graph, hamming_distance, identity_matching,
                      path_graph, transposition_matching, twin, twisted_edges,
                      vertex_id)
+from zfcubes.graphs import twisted_rows
 from zfcubes.minority import minority_twist_spec
 
 
@@ -178,6 +179,25 @@ def test_twisted_edges_skip_labels_that_are_not_comparable_bit_strings():
     assert twisted_edges(g) == [("11", "00")]
     with pytest.raises(ValueError):
         twisted_edges(path_graph(3))
+
+
+def test_twisted_rule_on_bit_strings_in_and_out_of_id_order():
+    rng = random.Random(77)
+    for trial in range(120):
+        n = rng.randint(0, 5)
+        verts = bitstrings(n)
+        if trial % 3 == 1:
+            rng.shuffle(verts)  # ids are no longer the values
+        elif trial % 3 == 2 and len(verts) > 1:
+            verts = sorted(rng.sample(verts, rng.randint(1, len(verts))))  # gaps
+        edges = _random_labelled_edges(rng, verts, rng.random())
+        g = Graph(verts, edges)
+        pos = g.index
+        expected = sorted({(u, v) if pos[u] < pos[v] else (v, u) for u, v in edges
+                           if hamming_distance(u, v) > 1},
+                          key=lambda e: (pos[e[0]], pos[e[1]]))
+        assert twisted_edges(g) == expected
+        assert twisted_rows(g) == [[pos[v] for u, v in expected if u == a] for a in verts]
 
 
 def _check_against_oracle(g, verts, edges):

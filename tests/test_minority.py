@@ -2,12 +2,13 @@ import itertools
 
 import pytest
 
-from zfcubes import (ResourceLimitError, bridge_arc_at, build_closed_form,
-                     build_hypercube, build_minority_cube, classify,
-                     closed_form_arc_pairs, closure, decompose, find_chain_twist,
-                     has_in_arc, has_out_arc, is_chain_twist_path,
-                     is_forcing_arc_set, is_zero_forcing_set, isolated_vertices,
-                     minority_zero_forcing_set, twisted_edges)
+from zfcubes import (MatchingError, ResourceLimitError, TwistSpec, bitstrings,
+                     bridge_arc_at, build_closed_form, build_hypercube,
+                     build_minority_cube, classify, closed_form_arc_pairs, closure,
+                     decompose, find_chain_twist, has_in_arc, has_out_arc,
+                     identity_matching, is_chain_twist_path, is_forcing_arc_set,
+                     is_zero_forcing_set, isolated_vertices, minority_twist_spec,
+                     minority_zero_forcing_set, transposition_matching, twisted_edges)
 
 
 def test_dimension_guards():
@@ -199,3 +200,30 @@ def test_closure_from_chain_initials_reaches_everything():
         cube = build_minority_cube(n)
         trace = closure(cube.graph, cube.zero_forcing_set())
         assert len(trace.derived) == 2 ** n, n
+
+
+def test_twist_plans_equal_the_transposition_plans():
+    for n in range(3, 13):
+        expected = [identity_matching(level) for level in (1, 2, 3)] + [
+            transposition_matching(level, "01" + "0" * (level - 4) + "0",
+                                   "10" + "0" * (level - 4) + "1")
+            for level in range(4, n + 1)]
+        spec = minority_twist_spec(n)
+        assert spec.dimension == n
+        for table in reversed(expected):
+            assert spec.left is spec.right
+            assert spec.matching == table
+            spec = spec.left
+        assert spec.is_leaf
+
+
+def test_level_tables_keep_the_bijection_check():
+    labels = bitstrings(2)
+    for table in ({"00": "01", "01": "00", "10": "10"},              # a label missing
+                  {"00": "01", "01": "01", "10": "10", "11": "11"},  # not injective
+                  {"00": "0", "01": "01", "10": "10", "11": "11"}):  # foreign value
+        with pytest.raises(MatchingError):
+            TwistSpec._from_level_tables([([""], {"": ""}), (["0", "1"], {"0": "0", "1": "1"}),
+                                          (labels, dict(table))])
+        with pytest.raises(MatchingError):
+            TwistSpec(TwistSpec.identity(2), TwistSpec.identity(2), table)

@@ -6,8 +6,9 @@ import pytest
 from helpers import random_dipath_arcset, random_graph
 from zfcubes import (ArcSet, DocumentError, Graph, TwistSpec, build_hypercube,
                      build_minority_cube, build_twisted, closure,
-                     dumps_json_document, from_dot, from_json_document, solve_exact,
-                     to_dot, to_json_document, trace_to_arcset)
+                     dumps_json_document, from_dot, from_json_document,
+                     json_document_chunks, serialize, solve_exact, to_dot,
+                     to_json_document, trace_to_arcset, validate_arcset)
 
 
 def test_json_round_trip_plain_cube():
@@ -246,3 +247,62 @@ def test_dot_statements_in_any_order():
         with pytest.raises(DocumentError) as err:
             from_dot("\n".join(lines))
         assert err.value.location == f"line {lineno}"
+
+
+@pytest.mark.parametrize("bad, message", [
+    (["0", "2"], "unknown vertex in pair ['0', '2']"),
+    (["0", 1], "expected a pair of vertex labels"),
+    (["0", ["1"]], "expected a pair of vertex labels"),
+    (["0"], "expected a pair of vertex labels"),
+    (["0", "1", "0"], "expected a pair of vertex labels"),
+    ("01", "expected a pair of vertex labels"),
+    ({"0": "1"}, "expected a pair of vertex labels"),
+])
+@pytest.mark.parametrize("key", ["edges", "arcs"])
+def test_malformed_pair_messages(key, bad, message):
+    doc = {"vertices": ["0", "1"], "edges": [["0", "1"]], "arcs": [["0", "1"]]}
+    doc[key] = [["0", "1"], ["1", "0"], bad, ["0", "2"]]
+    for data in (doc, json.dumps(doc)):
+        with pytest.raises(DocumentError) as err:
+            from_json_document(data)
+        assert (err.value.location, str(err.value)) == (f"{key}[2]", f"{key}[2]: {message}")
+
+
+def test_loops_in_edges_and_arcs():
+    doc = {"vertices": ["0", "1"], "edges": [["0", "1"], ["1", "1"], ["0", "0"]]}
+    with pytest.raises(DocumentError) as err:
+        from_json_document(doc)
+    assert (err.value.location, str(err.value)) == ("edges", "edges: loop at '1'")
+    # a loop arc loads; the arc-set checks report it
+    loaded = from_json_document({"vertices": ["0", "1"], "edges": [["0", "1"]],
+                                 "arcs": [["1", "1"]]})
+    assert loaded.arcs.arcs == {("1", "1")}
+    assert validate_arcset(loaded.arcs)[0] == (
+        "arc '1'->'1': '1'-'1' is not an edge of the host")
+
+
+def test_a_dict_passed_in_is_not_changed():
+    cube = build_minority_cube(4)
+    payload = json.loads(dumps_json_document(cube.graph, cube.arcs))
+    before = json.dumps(payload)
+    doc = from_json_document(payload)
+    assert json.dumps(payload) == before
+    assert doc.graph == cube.graph and doc.arcs.arcs == cube.arcs.arcs
+    assert doc.extras == {}
+
+
+def test_chunks_are_validated_before_the_first_one(monkeypatch):
+    from zfcubes import path_graph
+    with pytest.raises(ValueError):
+        json_document_chunks(path_graph(3))
+    with pytest.raises(ValueError, match="clashes"):
+        json_document_chunks(build_hypercube(2), extras={"edges": []})
+    with pytest.raises(TypeError):  # not JSON; raised before a chunk exists
+        json_document_chunks(build_hypercube(2), extras={"note": {1, 2}})
+    cube = build_minority_cube(6)
+    expected = json.dumps(to_json_document(cube.graph, cube.arcs), indent=2) + "\n"
+    for rows in (1, 5, 64, 1024):  # chunk boundaries inside and after the rows
+        monkeypatch.setattr(serialize, "_ROWS_PER_CHUNK", rows)
+        chunks = list(json_document_chunks(cube.graph, cube.arcs))
+        assert "".join(chunks) == expected
+        assert len(chunks) >= 8 + 64 // rows
