@@ -126,7 +126,7 @@ def _parse_twist_spec_file(text: str) -> TwistSpec:
             raise DocumentError("each level must be 'identity' or an override table",
                                 location=f"levels[{level - 1}]")
         levels.append((labels, table))
-    return TwistSpec._from_level_tables(levels)
+    return TwistSpec.from_level_tables(levels)
 
 
 def cmd_build(args) -> int:

@@ -10,8 +10,9 @@ canonical vertex order.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import cached_property
+from itertools import chain
+from operator import eq
 from typing import Callable, Hashable, Iterable, Mapping
 
 from .errors import MatchingError, ResourceLimitError
@@ -51,8 +52,9 @@ class Graph:
     The vertex tuple fixes a canonical order of ids (for bit-string graphs
     this is id order); ``index`` maps labels to ids and ``neighbor_ids``
     holds each vertex's sorted neighbour ids. ``adjacency`` and ``edge_keys``
-    are label views, built on first use. Equality is labelled equality: same
-    vertex set and same edge set; no isomorphism testing is attempted.
+    are label views and ``upper_ids`` holds each edge once; all three are
+    built on first use. Equality is labelled equality: same vertex set and
+    same edge set; no isomorphism testing is attempted.
     """
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Edge],
@@ -70,11 +72,19 @@ class Graph:
                 if u == v or (a is not None and a == b):
                     raise ValueError(f"loop at {u!r}")
                 raise ValueError(f"edge ({u!r}, {v!r}) uses an unknown vertex")
-            row = rows[a]
-            if b not in row:  # a repeated edge is skipped; rows are short
-                row.append(b)
-                rows[b].append(a)
-        self.neighbor_ids = tuple(map(tuple, map(sorted, rows)))
+            rows[a].append(b)
+            rows[b].append(a)
+        for row in rows:
+            row.sort()
+        # A repeated edge leaves two equal ids side by side in a sorted row.
+        # The scan over the rows laid end to end can also pair the ends of
+        # two rows; either way each row then goes through a set, which is
+        # always right.
+        ids, following = chain.from_iterable(rows), chain.from_iterable(rows)
+        next(following, None)
+        if any(map(eq, ids, following)):
+            rows = map(sorted, map(set, rows))
+        self.neighbor_ids = tuple(map(tuple, rows))
 
     @classmethod
     def _from_ids(cls, vertices: list, rows: list, dimension: int | None) -> "Graph":
@@ -123,11 +133,16 @@ class Graph:
     def edge_count(self) -> int:
         return sum(map(len, self.neighbor_ids)) // 2
 
+    @cached_property
+    def upper_ids(self) -> list[list[int]]:
+        """For each vertex id ``a``, its ascending neighbour ids above ``a``:
+        every edge once, from its lower end."""
+        return [[b for b in nbrs if b > a] for a, nbrs in enumerate(self.neighbor_ids)]
+
     def edges(self) -> list[tuple]:
         """Edges as (u, v) tuples with u before v in canonical order."""
         verts = self.vertices
-        return [(verts[a], verts[b])
-                for a, nbrs in enumerate(self.neighbor_ids) for b in nbrs if b > a]
+        return [(verts[a], verts[b]) for a, row in enumerate(self.upper_ids) for b in row]
 
     def neighbors(self, v) -> list:
         return list(map(self.vertices.__getitem__, self.neighbor_ids[self.index[v]]))
@@ -232,18 +247,15 @@ class TwistSpec:
         ``matchings[i]`` joins the two copies at dimension ``i + 1`` and must
         be a bijection on ``i``-bit strings.
         """
-        spec = cls.leaf()
-        for matching in matchings:
-            spec = cls(spec, spec, matching)
-        return spec
+        return cls.from_level_tables((bitstrings(i), dict(m)) for i, m in enumerate(matchings))
 
     @classmethod
-    def _from_level_tables(cls, levels: Iterable[tuple[list, dict]]) -> "TwistSpec":
+    def from_level_tables(cls, levels: Iterable[tuple[list, dict]]) -> "TwistSpec":
         """:meth:`from_level_matchings` over ``(labels, table)`` pairs, where
-        ``labels`` lists the keys of the :func:`identity_matching` that the
-        caller turned into ``table``; the bijection check reuses them instead
-        of formatting the level's strings again, and takes the table over
-        without a copy."""
+        ``labels`` lists the strings that ``table`` must map bijectively, in
+        any order. The plan takes each table over without a copy; a caller
+        that formatted the labels to build the table passes them here, so they
+        are not formatted again for the check."""
         spec = cls.leaf()
         for labels, table in levels:
             node = cls.__new__(cls)
@@ -360,12 +372,8 @@ def twisted_rows(graph: Graph) -> list[list[int]]:
         raise ValueError("twisted edges are defined for bit-string labelled graphs")
     lengths = [-1 if v.strip("01") else len(v) for v in verts]  # -1: not bits
     ids = [vertex_id(v) if n >= 0 else 0 for v, n in zip(verts, lengths)]
-    later = [nbrs[bisect_right(nbrs, a):] for a, nbrs in enumerate(graph.neighbor_ids)]
-    if len(set(lengths)) <= 1 and ids == list(range(len(ids))):
-        # bit strings of one length, each at the id of its value
-        return [[b for b in row if (y := a ^ b) & (y - 1)] for a, row in enumerate(later)]
     return [[b for b in row if lengths[b] == lengths[a] >= 0 and (y := ids[a] ^ ids[b]) & (y - 1)]
-            for a, row in enumerate(later)]
+            for a, row in enumerate(graph.upper_ids)]
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:

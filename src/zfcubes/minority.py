@@ -82,7 +82,7 @@ def minority_twist_spec(n: int) -> TwistSpec:
             zeros = "0" * (level - 4)
             first, second = "01" + zeros + "0", "10" + zeros + "1"
             table[first], table[second] = second, first
-    return TwistSpec._from_level_tables(levels)
+    return TwistSpec.from_level_tables(levels)
 
 
 def bridge_arc_at(level: int) -> tuple[str, str]:

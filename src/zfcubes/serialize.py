@@ -20,9 +20,9 @@ an otherwise undirected graph) and flags twisted edges with ``color=red``.
 Both formats round-trip exactly through :func:`from_json_document` /
 :func:`from_dot`.
 
-Both writers work over vertex ids: the edges come from ``neighbor_ids``
-and the twisted edges from :func:`~zfcubes.graphs.twisted_rows`, the one
-twisted-edge rule. :func:`json_document_chunks` streams the JSON text in
+Both writers work over vertex ids: the edges come from
+:attr:`~zfcubes.graphs.Graph.upper_ids` and the twisted edges from
+:func:`~zfcubes.graphs.twisted_rows`, the one twisted-edge rule. :func:`json_document_chunks` streams the JSON text in
 chunks, which the CLI writes as they come, so the whole text of a large
 cube never sits in memory; :func:`dumps_json_document` joins them.
 """
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -130,7 +129,7 @@ def json_document_chunks(graph: Graph, arcs: ArcSet | None = None,
     Everything is checked, and every entry but the two edge lists encoded,
     before this returns, so a refused document raises before any chunk is
     written. The edges and twisted edges are then written lazily over vertex
-    ids, from ``neighbor_ids``, :func:`twisted_rows` and each label encoded
+    ids, from ``upper_ids``, :func:`twisted_rows` and each label encoded
     once, without lists of label pairs.
     """
     _check_labels(graph)
@@ -147,13 +146,12 @@ def json_document_chunks(graph: Graph, arcs: ArcSet | None = None,
             raise ValueError(f"extra key {key!r} clashes with a document key")
         rest.append(_dump_entry(key, extras[key]))
     tail = "".join(",\n" + entry for entry in rest) + "\n}\n"
-    return _document_chunks(graph.neighbor_ids, enc, head, middle, twisted_rows(graph), tail)
+    return _document_chunks(graph.upper_ids, enc, head, middle, twisted_rows(graph), tail)
 
 
-def _document_chunks(nbr, enc, head, middle, twisted, tail) -> Iterator[str]:
+def _document_chunks(upper, enc, head, middle, twisted, tail) -> Iterator[str]:
     yield head
-    yield from _pair_entry("edges", enc,
-                           (row[bisect_right(row, a):] for a, row in enumerate(nbr)))
+    yield from _pair_entry("edges", enc, upper)
     yield middle
     yield from _pair_entry("twisted_edges", enc, twisted)
     yield tail
@@ -295,20 +293,14 @@ def to_dot(graph: Graph, arcs: ArcSet | None = None, name: str = "zfcubes") -> s
         for b in row:
             key = a * n + b
             special[key] = special.get(key, f"  {quoted[a]} -- {quoted[b]}") + " [color=red]"
-    touched = {key // n for key in special}
     lines = [f"graph {name} {{"]
     if graph.dimension is not None:
         lines.append(f'  dimension="{graph.dimension}";')
     lines += [f"  {q};" for q in quoted]
     lookup = special.get
-    for a, nbrs in enumerate(graph.neighbor_ids):
-        later = nbrs[bisect_right(nbrs, a):]
-        plain = f"  {quoted[a]} -- "
-        if a in touched:
-            base = a * n
-            lines += [(lookup(base + b) or plain + quoted[b]) + ";" for b in later]
-        elif later:
-            lines.append(plain + (";\n" + plain).join(map(quoted.__getitem__, later)) + ";")
+    for a, row in enumerate(graph.upper_ids):
+        plain, base = f"  {quoted[a]} -- ", a * n
+        lines += [(lookup(base + b) or plain + quoted[b]) + ";" for b in row]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -212,6 +212,7 @@ def _check_against_oracle(g, verts, edges):
                                key=lambda e: (pos[e[0]], pos[e[1]]))
     assert g.edge_keys == frozenset(frozenset((u, v)) for u, v in edges)
     assert g.edge_count == len(g.edge_keys)
+    assert g.upper_ids == [[b for b in row if b > a] for a, row in enumerate(g.neighbor_ids)]
     for v in verts:
         assert g.degree(v) == len(adjacency[v])
         assert g.neighbors(v) == sorted(adjacency[v], key=pos.__getitem__)
@@ -277,6 +278,22 @@ def test_constructions_match_the_label_recursion():
         verts = bitstrings(n)
         edges = [(u, v) for u in verts for v in verts if hamming_distance(u, v) == 1]
         _check_against_oracle(build_hypercube(n), verts, edges)
+
+
+def test_high_degree_rows_with_and_without_repeats():
+    # One row holds every other vertex. Rows are deduplicated after sorting,
+    # so a hub of 20,000 leaves builds in linear-logarithmic time; a check
+    # per edge against the hub's row would make about 2 * 10^8 comparisons.
+    leaves = 20_000
+    hub = [(0, i) for i in range(1, leaves + 1)]
+    for edges in (hub, hub + [(i, 0) for i in range(leaves, 0, -1)] + hub[:5]):
+        star = Graph(range(leaves + 1), edges)
+        assert star.neighbor_ids[0] == tuple(range(1, leaves + 1))
+        assert set(star.neighbor_ids[1:]) == {(0,)}
+        assert star.edge_count == leaves
+    k = complete_graph(250)
+    assert k.neighbor_ids == tuple(tuple(b for b in range(250) if b != a) for a in range(250))
+    assert k.upper_ids[0] == list(range(1, 250)) and k.upper_ids[249] == []
 
 
 @pytest.mark.parametrize("vertices, edges, message", [

@@ -223,7 +223,7 @@ def test_level_tables_keep_the_bijection_check():
                   {"00": "01", "01": "01", "10": "10", "11": "11"},  # not injective
                   {"00": "0", "01": "01", "10": "10", "11": "11"}):  # foreign value
         with pytest.raises(MatchingError):
-            TwistSpec._from_level_tables([([""], {"": ""}), (["0", "1"], {"0": "0", "1": "1"}),
+            TwistSpec.from_level_tables([([""], {"": ""}), (["0", "1"], {"0": "0", "1": "1"}),
                                           (labels, dict(table))])
         with pytest.raises(MatchingError):
             TwistSpec(TwistSpec.identity(2), TwistSpec.identity(2), table)
