@@ -123,7 +123,7 @@ def validate_arcset(arcset: ArcSet) -> list[str]:
             continue
         if idx[v] not in nbr[idx[u]]:
             problems.append(f"arc {u!r}->{v!r}: {u!r}-{v!r} is not an edge of the host")
-        if (v, u) in arcset.arcs and (v, u) not in reported_reverse:
+        if u != v and (v, u) in arcset.arcs and (v, u) not in reported_reverse:
             problems.append(f"arc {u!r}->{v!r}: the reverse arc is also present")
             reported_reverse.add((u, v))
     return problems
@@ -171,12 +171,9 @@ def decompose(arcset: ArcSet) -> ChainDecomposition:
 
 def _twisted_sequence(arcs: frozenset, seq: Sequence, cyclic: bool) -> bool:
     # No two consecutive non-arc steps; traversal against an arc is a non-arc.
-    steps = [(seq[i], seq[i + 1]) in arcs for i in range(len(seq) - 1)]
-    if cyclic:
-        steps.append((seq[-1], seq[0]) in arcs)
-        k = len(steps)
-        return all(steps[i] or steps[(i + 1) % k] for i in range(k))
-    return all(steps[i] or steps[i + 1] for i in range(len(steps) - 1))
+    steps = [pair in arcs for pair in zip(seq, [*seq[1:], *seq[:1]] if cyclic else seq[1:])]
+    following = steps[1:] + steps[:1] if cyclic else steps[1:]
+    return all(a or b for a, b in zip(steps, following))
 
 
 def is_chain_twist(arcset: ArcSet, cycle: Sequence) -> bool:
@@ -184,15 +181,7 @@ def is_chain_twist(arcset: ArcSet, cycle: Sequence) -> bool:
     cyc = list(cycle)
     if len(cyc) < 3:
         raise ValueError("a chain twist needs at least three vertices")
-    if len(set(cyc)) != len(cyc):
-        raise ValueError("cycle vertices must be distinct")
-    idx, nbr = arcset.host.index, arcset.host.neighbor_ids
-    for i, v in enumerate(cyc):
-        if v not in idx:
-            raise ValueError(f"{v!r} is not a vertex of the host")
-        nxt = cyc[(i + 1) % len(cyc)]
-        if idx.get(nxt) not in nbr[idx[v]]:
-            raise ValueError(f"{v!r}-{nxt!r} is not an edge of the host; not a cycle")
+    _check_sequence(arcset.host, cyc, "cycle")
     return _twisted_sequence(arcset.arcs, cyc, cyclic=True)
 
 
@@ -205,18 +194,22 @@ def is_chain_twist_path(arcset: ArcSet, path: Sequence) -> bool:
     seq = list(path)
     if not seq:
         raise ValueError("empty path")
+    _check_sequence(arcset.host, seq, "path")
+    return _twisted_sequence(arcset.arcs, seq, cyclic=False)
+
+
+def _check_sequence(host: Graph, seq: list, kind: str) -> None:
+    """Refuse a sequence that is not a ``kind`` ("path" or "cycle") of the host:
+    distinct vertices of the host, each step an edge, a cycle's closing one too."""
     if len(set(seq)) != len(seq):
-        raise ValueError("path vertices must be distinct")
-    idx, nbr = arcset.host.index, arcset.host.neighbor_ids
+        raise ValueError(f"{kind} vertices must be distinct")
+    idx, nbr = host.index, host.neighbor_ids
     for v in seq:
         if v not in idx:
             raise ValueError(f"{v!r} is not a vertex of the host")
-    for a, b in zip(seq, seq[1:]):
+    for a, b in zip(seq, [*seq[1:], *seq[:1]] if kind == "cycle" else seq[1:]):
         if idx[b] not in nbr[idx[a]]:
-            raise ValueError(f"{a!r}-{b!r} is not an edge of the host; not a path")
-    if len(seq) <= 2:
-        return True
-    return _twisted_sequence(arcset.arcs, seq, cyclic=False)
+            raise ValueError(f"{a!r}-{b!r} is not an edge of the host; not a {kind}")
 
 
 def _exhaustive_twist(arcset: ArcSet) -> Optional[list]:

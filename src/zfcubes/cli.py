@@ -27,8 +27,8 @@ from .arcsets import EXHAUSTIVE_VERTEX_LIMIT, decompose, find_chain_twist, \
 from .errors import ArcStructureError, DocumentError, MatchingError, \
     ResourceLimitError
 from .forcing import closure
-from .graphs import TwistSpec, _check_dimension, build_hypercube, build_twisted, \
-    identity_matching
+from .graphs import TwistSpec, _check_dimension, bitstrings, build_hypercube, \
+    build_twisted
 from .minority import build_minority_cube
 # dumps_json_document stays bound here for perfbench/spans.py; commands emit
 # through json_document_chunks
@@ -104,29 +104,33 @@ def _parse_twist_spec_file(text: str) -> TwistSpec:
                             location=f"line {exc.lineno} column {exc.colno}") from exc
     if not isinstance(data, dict) or not isinstance(data.get("levels"), list):
         raise DocumentError("spec file must be an object with a 'levels' list")
-    _check_dimension(len(data["levels"]))  # before any level's table is built
-    levels = []
-    for level, entry in enumerate(data["levels"], start=1):
-        table = identity_matching(level)
-        labels = list(table)
-        if entry == "identity":
-            pass
-        elif isinstance(entry, dict):
-            # one bulk check; only a failing table is walked, to name the bad string
-            values = entry.values()
-            if not (table.keys() >= entry.keys() and set(map(type, values)) <= {str}
-                    and table.keys() >= set(values)):
-                for key, value in entry.items():
-                    if key not in table or not isinstance(value, str) or value not in table:
-                        bad = value if key in table else key
-                        raise DocumentError(f"{bad!r} is not a {level - 1}-bit string",
-                                            location=f"levels[{level - 1}]")
-            table.update(entry)
-        else:
-            raise DocumentError("each level must be 'identity' or an override table",
-                                location=f"levels[{level - 1}]")
-        levels.append((labels, table))
-    return TwistSpec.from_level_tables(levels)
+    _check_dimension(len(data["levels"]))  # before any level's permutation is built
+    # every entry is read before any bijection check, so a bad entry is named first
+    return TwistSpec.from_level_perms(
+        [_level_perm(level, entry) for level, entry in enumerate(data["levels"], start=1)])
+
+
+def _level_perm(level: int, entry) -> list[int]:
+    """The ids that a spec file's level entry maps ``range(2 ** (level - 1))`` to."""
+    perm = list(range(1 << (level - 1)))
+    if entry == "identity":
+        return perm
+    if not isinstance(entry, dict):
+        raise DocumentError("each level must be 'identity' or an override table",
+                            location=f"levels[{level - 1}]")
+    position = {a: i for i, a in enumerate(bitstrings(level - 1))}
+    # one bulk check; only a failing table is walked, to name the bad string
+    values = entry.values()
+    if not (position.keys() >= entry.keys() and set(map(type, values)) <= {str}
+            and position.keys() >= set(values)):
+        for key, value in entry.items():
+            if key not in position or not isinstance(value, str) or value not in position:
+                bad = value if key in position else key
+                raise DocumentError(f"{bad!r} is not a {level - 1}-bit string",
+                                    location=f"levels[{level - 1}]")
+    for key, value in entry.items():
+        perm[position[key]] = position[value]
+    return perm
 
 
 def cmd_build(args) -> int:

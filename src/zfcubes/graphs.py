@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain
-from operator import eq
+from operator import eq, index
 from typing import Callable, Hashable, Iterable, Mapping
 
 from .errors import MatchingError, ResourceLimitError
@@ -186,16 +186,16 @@ class TwistSpec:
     """Assembly plan for a twisted hypercube.
 
     Either the trivial 0-dimensional plan (a single vertex labelled by the
-    empty string) or a pair of (n-1)-dimensional plans joined by a matching:
-    a bijection on (n-1)-bit strings stored as an explicit table. Building
-    appends ``'0'`` to every vertex of the left child, ``'1'`` to every
-    vertex of the right child, and joins each left vertex ``a0`` to
-    ``matching[a]1``. The identity matching at every level reproduces the
-    standard hypercube; children may differ, so non-uniform families are
-    expressible.
+    empty string) or a pair of (n-1)-dimensional plans joined by a matching,
+    a bijection on (n-1)-bit strings stored as ``perm``: the ids that
+    ``range(2 ** (n - 1))`` maps to. ``matching`` is its label view. Building
+    appends ``'0'`` to every vertex of the left child, ``'1'`` to every vertex
+    of the right child, and joins each left vertex ``a0`` to ``matching[a]1``.
+    The identity matching at every level reproduces the standard hypercube;
+    children may differ, so non-uniform families are expressible.
     """
 
-    __slots__ = ("left", "right", "matching", "dimension")
+    __slots__ = ("left", "right", "perm", "dimension")
 
     def __init__(self, left: "TwistSpec | None" = None,
                  right: "TwistSpec | None" = None,
@@ -203,25 +203,33 @@ class TwistSpec:
         parts = (left, right, matching)
         if any(p is None for p in parts) and any(p is not None for p in parts):
             raise ValueError("provide left, right and matching together, or none of them")
-        self.left = left
-        self.right = right
         if left is None:
-            self.matching = None
+            self.left = self.right = self.perm = None
             self.dimension = 0
             return
         if left.dimension != right.dimension:
             raise MatchingError("child plans must have equal dimension")
-        self._join(dict(matching), bitstrings(left.dimension))
+        position = {a: i for i, a in enumerate(bitstrings(left.dimension))}
+        perm = [position.get(matching.get(a)) for a in position]
+        if len(matching) != len(perm):
+            perm.append(None)  # a key outside the domain
+        self._join(left, right, perm)
 
-    def _join(self, table: dict, labels: list) -> None:
-        # labels: the strings of length self.left.dimension, in any order
-        domain = set(labels)
-        if table.keys() != domain or set(table.values()) != domain:
-            sub = self.left.dimension
+    def _join(self, left: "TwistSpec", right: "TwistSpec", perm: list) -> "TwistSpec":
+        sub = left.dimension
+        if len(perm) != 1 << sub or set(perm) != set(range(1 << sub)):
             raise MatchingError(
                 f"matching must be a bijection on the {2 ** sub} strings of length {sub}")
-        self.matching = table
-        self.dimension = self.left.dimension + 1
+        self.left, self.right, self.perm, self.dimension = left, right, perm, sub + 1
+        return self
+
+    @property
+    def matching(self) -> dict[str, str] | None:
+        """Label view of ``perm``, a table built on each read; None for the leaf."""
+        if self.perm is None:
+            return None
+        labels = bitstrings(self.left.dimension)
+        return dict(zip(labels, map(labels.__getitem__, self.perm)))
 
     @property
     def is_leaf(self) -> bool:
@@ -237,8 +245,7 @@ class TwistSpec:
     @classmethod
     def identity(cls, dimension: int) -> "TwistSpec":
         """Plan whose matchings are all standard; builds the hypercube."""
-        return cls.from_level_matchings(
-            [identity_matching(level) for level in range(1, dimension + 1)])
+        return cls.from_level_perms(range(1 << level) for level in range(dimension))
 
     @classmethod
     def from_level_matchings(cls, matchings: Iterable[Mapping[str, str]]) -> "TwistSpec":
@@ -247,21 +254,18 @@ class TwistSpec:
         ``matchings[i]`` joins the two copies at dimension ``i + 1`` and must
         be a bijection on ``i``-bit strings.
         """
-        return cls.from_level_tables((bitstrings(i), dict(m)) for i, m in enumerate(matchings))
+        spec = cls.leaf()
+        for matching in matchings:
+            spec = cls(spec, spec, matching)
+        return spec
 
     @classmethod
-    def from_level_tables(cls, levels: Iterable[tuple[list, dict]]) -> "TwistSpec":
-        """:meth:`from_level_matchings` over ``(labels, table)`` pairs, where
-        ``labels`` lists the strings that ``table`` must map bijectively, in
-        any order. The plan takes each table over without a copy; a caller
-        that formatted the labels to build the table passes them here, so they
-        are not formatted again for the check."""
+    def from_level_perms(cls, perms: Iterable[Iterable[int]]) -> "TwistSpec":
+        """:meth:`from_level_matchings` over vertex ids: ``perms[i]`` lists
+        the ids that ``range(2 ** i)`` maps to: a permutation of ints."""
         spec = cls.leaf()
-        for labels, table in levels:
-            node = cls.__new__(cls)
-            node.left = node.right = spec
-            node._join(table, labels)
-            spec = node
+        for perm in perms:
+            spec = cls.__new__(cls)._join(spec, spec, list(map(index, perm)))
         return spec
 
     @classmethod
@@ -269,12 +273,10 @@ class TwistSpec:
         """Fully random plan; children are drawn independently."""
         if dimension == 0:
             return cls.leaf()
-        labels = bitstrings(dimension - 1)
-        values = list(labels)
-        rng.shuffle(values)
-        return cls(cls.random(dimension - 1, rng),
-                   cls.random(dimension - 1, rng),
-                   dict(zip(labels, values)))
+        perm = list(range(1 << (dimension - 1)))
+        rng.shuffle(perm)
+        left, right = cls.random(dimension - 1, rng), cls.random(dimension - 1, rng)
+        return cls.__new__(cls)._join(left, right, perm)
 
 
 def identity_matching(dimension: int) -> dict[str, str]:
@@ -297,8 +299,7 @@ def build_hypercube(n: int) -> Graph:
     _check_dimension(n)
     ids = list(range(1 << n))
     bits = [1 << b for b in range(n)]
-    rows = [[ids[i ^ bit] for bit in bits] for i in ids]
-    return Graph._from_ids(bitstrings(n), rows, n)
+    return _cube_graph([[ids[i ^ bit] for bit in bits] for i in ids], n)
 
 
 def build_twisted(spec: TwistSpec) -> Graph:
@@ -306,8 +307,9 @@ def build_twisted(spec: TwistSpec) -> Graph:
 
     The result is ``spec.dimension``-regular and connected, with vertices
     ordered by id. The copy bit of a dimension-m node is id bit n-m, so the
-    node's copies are fixed by the n-m bits below it, and its matching joins
-    ``a 0 s`` to ``matching[a] 1 s`` in the copy with trailing bits ``s``.
+    node's copies are fixed by the n-m bits below it, and its ``perm`` joins
+    ``a 0 s`` to ``perm[a] 1 s`` in the copy with trailing bits ``s``. The
+    plan is read over ids only; labels are formatted once, for the graph.
     """
     _check_dimension(spec.dimension)
     n = spec.dimension
@@ -317,12 +319,9 @@ def build_twisted(spec: TwistSpec) -> Graph:
     # their ints from ids, so that all rows share one int object per vertex.
     level = {id(spec): (spec, [0])}
     for shift in range(n):
-        labels = bitstrings(n - shift - 1)
-        position = {a: i for i, a in enumerate(labels)}
         below: dict[int, tuple[TwistSpec, list[int]]] = {}
         for node, copies in level.values():
-            perm = map(position.__getitem__, map(node.matching.__getitem__, labels))
-            for a, b in enumerate(perm):
+            for a, b in enumerate(node.perm):
                 u = a << (shift + 1)
                 v = (b << (shift + 1)) | (1 << shift)
                 for s in copies:
@@ -332,6 +331,11 @@ def build_twisted(spec: TwistSpec) -> Graph:
             for child, bit in ((node.left, 0), (node.right, 1 << shift)):
                 below.setdefault(id(child), (child, []))[1].extend(s | bit for s in copies)
         level = below
+    return _cube_graph(rows, n)
+
+
+def _cube_graph(rows: list, n: int) -> Graph:
+    """The dimension-n graph on the n-bit strings with the given id rows."""
     return Graph._from_ids(bitstrings(n), rows, n)
 
 

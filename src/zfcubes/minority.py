@@ -20,7 +20,7 @@ from functools import cached_property
 
 from .arcsets import ArcSet
 from .errors import ResourceLimitError
-from .graphs import Graph, TwistSpec, bitstrings, build_twisted, identity_matching, twisted_edges
+from .graphs import Graph, TwistSpec, bitstrings, build_twisted, twisted_edges
 
 MIN_DIMENSION = 3
 MAX_DIMENSION = 12
@@ -70,19 +70,18 @@ def minority_twist_spec(n: int) -> TwistSpec:
     """Assembly plan of the minority cube's underlying graph.
 
     Levels up to 3 use the standard matching; every level m >= 4 swaps the
-    two (m-1)-bit labels 01 0...0 0 and 10 0...0 1, which yields the two
-    twisted edges of that level.
+    two (m-1)-bit labels 01 0...0 0 and 10 0...0 1, ids ``1 << (m - 3)`` and
+    ``1 << (m - 2) | 1``, which yields the two twisted edges of that level.
     """
     _check_dimension(n)
-    levels = []
-    for level in range(1, n + 1):
-        table = identity_matching(level)
-        levels.append((list(table), table))
-        if level >= 4:
-            zeros = "0" * (level - 4)
-            first, second = "01" + zeros + "0", "10" + zeros + "1"
-            table[first], table[second] = second, first
-    return TwistSpec.from_level_tables(levels)
+    perms = []
+    for m in range(1, n + 1):
+        perm = list(range(1 << (m - 1)))
+        if m >= 4:
+            first, second = 1 << (m - 3), 1 << (m - 2) | 1
+            perm[first], perm[second] = second, first
+        perms.append(perm)
+    return TwistSpec.from_level_perms(perms)
 
 
 def bridge_arc_at(level: int) -> tuple[str, str]:
@@ -152,28 +151,23 @@ def has_out_arc(v: str) -> bool:
     """Is this vertex the tail of an arc? Decided from the label alone.
 
     00- and 10-vertices always are, 11-vertices never are; a 01-vertex is a
-    tail exactly when the first 1 after the class bits is followed by a 0.
+    tail exactly when its bridge bit is 0.
     """
     cls = classify(v)
-    if cls in ("00", "10"):
-        return True
-    if cls == "11":
-        return False
-    rest = v[2:]
-    i = rest.find("1")
-    return i != -1 and i + 1 < len(rest) and rest[i + 1] == "0"
+    return cls in ("00", "10") or cls != "11" and _bridge_bit(v) == "0"
 
 
 def has_in_arc(v: str) -> bool:
     """Is this vertex the head of an arc? Decided from the label alone."""
     cls = classify(v)
-    if cls == "00":
-        return False
-    if cls in ("10", "11"):
-        return True
-    rest = v[2:]
-    i = rest.find("1")
-    return i != -1 and i + 1 < len(rest) and rest[i + 1] == "1"
+    return cls in ("10", "11") or cls != "00" and _bridge_bit(v) == "1"
+
+
+def _bridge_bit(v: str) -> str:
+    """The bit after the first 1 past the class bits ("" if none): 0 at a
+    bridge arc's tail, 1 at its head."""
+    i = v.find("1", 2)
+    return v[i + 1:i + 2] if i != -1 else ""
 
 
 def isolated_vertices(n: int) -> tuple[str, str]:

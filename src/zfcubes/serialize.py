@@ -18,13 +18,16 @@ drops it before the graph is built. The DOT form writes plain edges as
 ``--`` and arcs as ``->`` (a mixed dialect: arc lines mark direction inside
 an otherwise undirected graph) and flags twisted edges with ``color=red``.
 Both formats round-trip exactly through :func:`from_json_document` /
-:func:`from_dot`.
+:func:`from_dot`, which share one vertex rule: under a ``dimension`` every
+label is a bit string of that length, and the vertices load in id order.
 
 Both writers work over vertex ids: the edges come from
 :attr:`~zfcubes.graphs.Graph.upper_ids` and the twisted edges from
-:func:`~zfcubes.graphs.twisted_rows`, the one twisted-edge rule. :func:`json_document_chunks` streams the JSON text in
-chunks, which the CLI writes as they come, so the whole text of a large
-cube never sits in memory; :func:`dumps_json_document` joins them.
+:func:`~zfcubes.graphs.twisted_rows`, the one twisted-edge rule; the two JSON
+writers check and order the other entries in one place.
+:func:`json_document_chunks` streams the JSON text in chunks, which the CLI
+writes as they come, so the whole text of a large cube never sits in memory;
+:func:`dumps_json_document` joins them.
 """
 
 from __future__ import annotations
@@ -60,24 +63,34 @@ def _check_labels(graph: Graph) -> None:
                 f"only string-labelled graphs can be exported, found {v!r}; relabel first")
 
 
-def to_json_document(graph: Graph, arcs: ArcSet | None = None,
-                     initial_set=None, extras: dict | None = None) -> dict:
-    """Assemble the document dict; key order is fixed for byte-stable dumps."""
+def _checked_entries(graph: Graph, arcs: ArcSet | None, initial_set,
+                     extras: dict | None) -> tuple[list | None, dict]:
+    """The ``arcs`` list and the entries after ``twisted_edges`` (the set in
+    id order, then the extras by key), once the labels and extras pass."""
     _check_labels(graph)
-    doc: dict = {
-        "dimension": graph.dimension,
-        "vertices": list(graph.vertices),
-        "edges": [[u, v] for u, v in graph.edges()],
-        "arcs": [[u, v] for u, v in arcs.sorted_arcs()] if arcs is not None else None,
-        "twisted_edges": [[u, v] for u, v in twisted_edges(graph)],
-    }
+    arc_list = [[u, v] for u, v in arcs.sorted_arcs()] if arcs is not None else None
+    tail = {}
     if initial_set is not None:
-        doc["set"] = sorted(initial_set, key=graph.index.__getitem__)
+        tail["set"] = sorted(initial_set, key=graph.index.__getitem__)
     for key in sorted(extras or {}):
         if key in _RESERVED_KEYS:
             raise ValueError(f"extra key {key!r} clashes with a document key")
-        doc[key] = extras[key]
-    return doc
+        tail[key] = extras[key]
+    return arc_list, tail
+
+
+def to_json_document(graph: Graph, arcs: ArcSet | None = None,
+                     initial_set=None, extras: dict | None = None) -> dict:
+    """Assemble the document dict; key order is fixed for byte-stable dumps."""
+    arc_list, tail = _checked_entries(graph, arcs, initial_set, extras)
+    return {
+        "dimension": graph.dimension,
+        "vertices": list(graph.vertices),
+        "edges": [[u, v] for u, v in graph.edges()],
+        "arcs": arc_list,
+        "twisted_edges": [[u, v] for u, v in twisted_edges(graph)],
+        **tail,
+    }
 
 
 _PAIR_SEP = "\n    ],\n    [\n      "
@@ -132,20 +145,12 @@ def json_document_chunks(graph: Graph, arcs: ArcSet | None = None,
     ids, from ``upper_ids``, :func:`twisted_rows` and each label encoded
     once, without lists of label pairs.
     """
-    _check_labels(graph)
+    arc_list, rest = _checked_entries(graph, arcs, initial_set, extras)
     enc = list(map(encode_basestring_ascii, graph.vertices))
     head = ("{\n" + _dump_entry("dimension", graph.dimension) + ',\n  "vertices": '
             + ("[\n    " + ",\n    ".join(enc) + "\n  ]" if enc else "[]") + ",\n")
-    middle = ",\n" + _dump_entry(
-        "arcs", [[u, v] for u, v in arcs.sorted_arcs()] if arcs is not None else None) + ",\n"
-    rest = []
-    if initial_set is not None:
-        rest.append(_dump_entry("set", sorted(initial_set, key=graph.index.__getitem__)))
-    for key in sorted(extras or {}):
-        if key in _RESERVED_KEYS:
-            raise ValueError(f"extra key {key!r} clashes with a document key")
-        rest.append(_dump_entry(key, extras[key]))
-    tail = "".join(",\n" + entry for entry in rest) + "\n}\n"
+    middle = ",\n" + _dump_entry("arcs", arc_list) + ",\n"
+    tail = "".join(",\n" + _dump_entry(*entry) for entry in rest.items()) + "\n}\n"
     return _document_chunks(graph.upper_ids, enc, head, middle, twisted_rows(graph), tail)
 
 
@@ -175,6 +180,17 @@ def _fail(message: str, location: str) -> None:
     raise DocumentError(message, location=location)
 
 
+def _ordered_vertices(vertices: list, dimension: int | None, where) -> list:
+    """The vertex rule of both formats: string labels and, under a ``dimension``,
+    bit strings of that length, then sorted into id order; ``where(i)`` locates label i."""
+    for i, v in enumerate(vertices):
+        if not isinstance(v, str):
+            _fail("vertex labels must be strings", where(i))
+        if dimension is not None and (len(v) != dimension or v.strip("01")):
+            _fail(f"vertex {v!r} is not a {dimension}-bit string", where(i))
+    return vertices if dimension is None else sorted(vertices)
+
+
 def from_json_document(data) -> GraphDocument:
     """Parse and validate a JSON document (str, bytes, or an already-loaded dict).
 
@@ -201,16 +217,10 @@ def from_json_document(data) -> GraphDocument:
     vertices = data.get("vertices")
     if not isinstance(vertices, list) or not vertices:
         _fail("vertices must be a non-empty list", "vertices")
-    for i, v in enumerate(vertices):
-        if not isinstance(v, str):
-            _fail("vertex labels must be strings", f"vertices[{i}]")
-        if dimension is not None and (len(v) != dimension or v.strip("01")):
-            _fail(f"vertex {v!r} is not a {dimension}-bit string", f"vertices[{i}]")
+    vertices = _ordered_vertices(vertices, dimension, lambda i: f"vertices[{i}]")
     known = set(vertices)
     if len(known) != len(vertices):
         _fail("duplicate vertex labels", "vertices")
-    if dimension is not None:
-        vertices = sorted(vertices)  # equal-length bit strings: text order is id order
 
     def pair_list(key: str, required: bool):
         """The raw list once every item is a two-item list (None for a
@@ -270,10 +280,8 @@ def from_json_document(data) -> GraphDocument:
 
 def to_dot(graph: Graph, arcs: ArcSet | None = None, name: str = "zfcubes") -> str:
     """Render the graph in DOT, arcs as ``->`` and twisted edges in red."""
+    _check_labels(graph)
     verts = graph.vertices
-    for v in verts:
-        if not isinstance(v, str):
-            raise ValueError(f"only string-labelled graphs can be exported, found {v!r}")
     quoted = [f'"{v}"' for v in verts]
     n = len(verts)
     # the lines of arcs and twisted edges, keyed by lo * n + hi over ids; of
@@ -350,12 +358,7 @@ def from_dot(text: str) -> GraphDocument:
             raise DocumentError(f"unrecognised statement {line!r}", location=f"line {lineno}")
     if not vertices:
         raise DocumentError("no vertex statements found", location="body")
-    if dimension is not None:  # the rule of from_json_document
-        for v, lineno in zip(vertices, vertex_lines):
-            if len(v) != dimension or v.strip("01"):
-                raise DocumentError(f"vertex {v!r} is not a {dimension}-bit string",
-                                    location=f"line {lineno}")
-        vertices.sort()  # equal-length bit strings: text order is id order
+    vertices = _ordered_vertices(vertices, dimension, lambda i: f"line {vertex_lines[i]}")
     try:
         graph = Graph(vertices, edges, dimension=dimension)
     except ValueError as exc:

@@ -30,6 +30,12 @@ def test_validate_accepts_base_arcs():
     assert validate_arcset(f3()) == []
 
 
+def test_a_loop_arc_is_reported_once():
+    # a loop is its own reverse, so only the edge check can report it
+    assert validate_arcset(ArcSet(build_hypercube(2), [("00", "00")])) == [
+        "arc '00'->'00': '00'-'00' is not an edge of the host"]
+
+
 def test_validate_reports_non_edges_and_reversals():
     q3 = build_hypercube(3)
     problems = validate_arcset(ArcSet(q3, [("000", "011")]))

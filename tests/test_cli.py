@@ -86,15 +86,15 @@ def test_build_twisted_from_bad_spec(capsys, tmp_path):
 
 def test_spec_file_past_the_dimension_limit_is_refused_before_building(
         capsys, monkeypatch, tmp_path):
-    # 21 levels would build tables of 2^0 to 2^20 strings, gigabytes by 25
+    # 21 levels would build permutations of 2^0 to 2^20 ids, gigabytes by 25
     built = []
 
-    def identity_matching(level):
+    def level_perm(level, entry):
         built.append(level)
-        assert level <= graphs.CONSTRUCTION_DIMENSION_LIMIT, "table past the limit"
-        return {}
+        assert level <= graphs.CONSTRUCTION_DIMENSION_LIMIT, "permutation past the limit"
+        return list(range(1 << (level - 1)))
 
-    monkeypatch.setattr(cli, "identity_matching", identity_matching)
+    monkeypatch.setattr(cli, "_level_perm", level_perm)
     spec = tmp_path / "plan.json"
     spec.write_text(json.dumps(
         {"levels": ["identity"] * (graphs.CONSTRUCTION_DIMENSION_LIMIT + 1)}))
@@ -193,6 +193,15 @@ def test_verify_arcs_prints_every_violation(capsys, tmp_path):
     assert code == 1
     assert out == ("violation: arc '00'->'11': '00'-'11' is not an edge of the host\n"
                    "violation: arc '01'->'11': the reverse arc is also present\n"
+                   "FAIL: not a valid arc set\n")
+
+
+def test_verify_arcs_reports_a_loop_arc_once(capsys, tmp_path):
+    path = tmp_path / "loop.json"
+    path.write_text('{"vertices":["0","1"],"edges":[["0","1"]],"arcs":[["1","1"]]}')
+    code, out, _ = run_cli(capsys, "verify", "arcs", "--input", str(path))
+    assert code == 1
+    assert out == ("violation: arc '1'->'1': '1'-'1' is not an edge of the host\n"
                    "FAIL: not a valid arc set\n")
 
 

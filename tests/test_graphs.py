@@ -63,6 +63,29 @@ def test_malformed_matching_rejected():
         TwistSpec(base, base, {"0": "0", "1": "0"})  # not injective
 
 
+def test_plans_keep_their_tables_and_agree_with_their_perms():
+    rng = random.Random(1313)
+    for n in range(0, 11):
+        labels = bitstrings(n)
+        table = dict(zip(labels, rng.sample(labels, len(labels))))
+        spec = TwistSpec(TwistSpec.random(n, rng), TwistSpec.random(n, rng), table)
+        assert spec.matching == table and spec.dimension == n + 1
+        with pytest.raises(MatchingError):  # a bijection, plus a key outside it
+            TwistSpec(spec.left, spec.right, {**table, "x": labels[0]})
+        perms = [rng.sample(range(1 << m), 1 << m) for m in range(n)]
+        tables = [dict(zip(bitstrings(m), [bitstrings(m)[b] for b in perm]))
+                  for m, perm in enumerate(perms)]
+        by_perm = TwistSpec.from_level_perms(perms)
+        by_table = TwistSpec.from_level_matchings(tables)
+        a, b = by_perm, by_table
+        for level_table in reversed(tables):
+            assert a.matching == b.matching == level_table
+            a, b = a.left, b.left
+        assert a.is_leaf and b.is_leaf
+        g, h = build_twisted(by_perm), build_twisted(by_table)
+        assert g.vertices == h.vertices and g.neighbor_ids == h.neighbor_ids
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10 ** 9))
 def test_random_specs_regular_and_connected(seed):

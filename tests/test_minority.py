@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from zfcubes import (MatchingError, ResourceLimitError, TwistSpec, bitstrings,
+from zfcubes import (MatchingError, ResourceLimitError, TwistSpec,
                      bridge_arc_at, build_closed_form, build_hypercube,
                      build_minority_cube, classify, closed_form_arc_pairs, closure,
                      decompose, find_chain_twist, has_in_arc, has_out_arc,
@@ -218,12 +218,17 @@ def test_twist_plans_equal_the_transposition_plans():
 
 
 def test_level_tables_keep_the_bijection_check():
-    labels = bitstrings(2)
+    levels = [[0], [0, 1]]
+    for perm in ([1, 0, 2],        # an id missing
+                 [1, 1, 2, 3],     # an id repeated
+                 [1, 0, 2, 4],     # an id out of range
+                 [1, 0, 2, 3, 0]):  # the wrong length, with every id present
+        with pytest.raises(MatchingError):
+            TwistSpec.from_level_perms(levels + [perm])
+    with pytest.raises(TypeError):  # ids are integers
+        TwistSpec.from_level_perms(levels + [[1, 0, 2, 3.0]])
     for table in ({"00": "01", "01": "00", "10": "10"},              # a label missing
                   {"00": "01", "01": "01", "10": "10", "11": "11"},  # not injective
                   {"00": "0", "01": "01", "10": "10", "11": "11"}):  # foreign value
-        with pytest.raises(MatchingError):
-            TwistSpec.from_level_tables([([""], {"": ""}), (["0", "1"], {"0": "0", "1": "1"}),
-                                          (labels, dict(table))])
         with pytest.raises(MatchingError):
             TwistSpec(TwistSpec.identity(2), TwistSpec.identity(2), table)

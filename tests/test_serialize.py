@@ -4,7 +4,7 @@ import random
 import pytest
 
 from helpers import random_dipath_arcset, random_graph
-from zfcubes import (ArcSet, DocumentError, Graph, TwistSpec, build_hypercube,
+from zfcubes import (ArcSet, DocumentError, Graph, TwistSpec, bitstrings, build_hypercube,
                      build_minority_cube, build_twisted, closure,
                      dumps_json_document, from_dot, from_json_document,
                      json_document_chunks, serialize, solve_exact, to_dot,
@@ -118,6 +118,31 @@ def test_dot_rejects_garbage():
         from_dot('graph g {\n  dimension="2";\n  "a";\n  "b";\n  "a" -- "b";\n}')
     assert err.value.location == "line 3"
     assert "'a' is not a 2-bit string" in str(err.value)
+
+
+def _load_vertices(load, text):
+    try:
+        return load(text).graph.vertices
+    except DocumentError as exc:
+        return str(exc).split(": ", 1)[1]  # the message without its location
+
+
+def test_json_and_dot_share_the_vertex_rule():
+    rng = random.Random(1301)
+    verdicts = set()
+    for _ in range(400):
+        dimension = rng.choice((None, 0, 1, 2, 3))
+        vertices = ["".join(rng.choice("01a") for _ in range(rng.choice((0, 1, 2, 2, 3))))
+                    for _ in range(rng.randint(1, 4))]
+        if dimension is not None and rng.random() < 0.5:  # a well-formed list, in any order
+            vertices = rng.sample(bitstrings(dimension), rng.randint(1, 2 ** dimension))
+        doc = json.dumps({"dimension": dimension, "vertices": vertices, "edges": []})
+        dot = "graph g {\n" + (f'  dimension="{dimension}";\n' if dimension is not None
+                               else "") + "".join(f'  "{v}";\n' for v in vertices) + "}\n"
+        got = _load_vertices(from_json_document, doc)
+        assert _load_vertices(from_dot, dot) == got, (dimension, vertices)
+        verdicts.add(type(got))
+    assert verdicts == {tuple, str}  # both accepted and refused lists were met
 
 
 def test_non_string_labels_refuse_to_export():
