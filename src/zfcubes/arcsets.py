@@ -16,7 +16,9 @@ nodes are the arcs, when no vertex has two outgoing arcs.
 
 :func:`_color_change` is the package's one colour-change kernel: the
 closure of a blue set (``forcing.closure``) and the execution of an arc set
-(:func:`is_forcing_arc_set`) both run it.
+(:func:`is_forcing_arc_set`) both run it. Every function here reads
+:attr:`ArcSet.ids`, the arcs resolved once into vertex-id pairs; labels are
+built only for results and messages.
 """
 
 from __future__ import annotations
@@ -38,14 +40,19 @@ EXHAUSTIVE_VERTEX_LIMIT = 16
 
 
 class ArcSet:
-    """A set of directed edges over a host graph."""
+    """A set of directed edges over a host graph.
 
-    __slots__ = ("host", "arcs", "_sorted", "_chains")
+    ``arcs`` holds the (tail, head) label pairs. Every arc consumer reads
+    ``ids``, the (tail id, head id) pairs of the arcs with both ends in the
+    host, resolved once on first use; the label views keep foreign arcs.
+    """
+
+    __slots__ = ("host", "arcs", "_ids", "_chains")
 
     def __init__(self, host: Graph, arcs: Iterable[Arc]):
         self.host = host
         self.arcs = frozenset((u, v) for u, v in arcs)
-        self._sorted = None
+        self._ids = None
         self._chains = None
 
     def __len__(self) -> int:
@@ -69,16 +76,23 @@ class ArcSet:
 
     def sorted_arcs(self) -> list[Arc]:
         """Arcs by host position of (tail, head); foreign endpoints sort last."""
-        if self._sorted is None:
-            idx = self.host.index
-            m = len(idx)
+        idx = self.host.index
+        m = len(idx)
 
-            def key(arc):
-                iu, iv = idx.get(arc[0], m), idx.get(arc[1], m)
-                return iu * (m + 1) + iv, repr(arc) if m in (iu, iv) else ""
+        def key(arc):
+            iu, iv = idx.get(arc[0], m), idx.get(arc[1], m)
+            return iu * (m + 1) + iv, repr(arc) if m in (iu, iv) else ""
 
-            self._sorted = tuple(sorted(self.arcs, key=key))
-        return list(self._sorted)
+        return sorted(self.arcs, key=key)
+
+    @property
+    def ids(self) -> tuple:
+        """Id pairs of the arcs with both ends in the host, in :meth:`sorted_arcs` order."""
+        if self._ids is None:
+            get = self.host.index.get
+            self._ids = tuple(sorted(pair for pair in ((get(u), get(v)) for u, v in self.arcs)
+                                     if None not in pair))
+        return self._ids
 
 
 @dataclass(frozen=True)
@@ -110,22 +124,25 @@ class ChainDecomposition:
 
 
 def validate_arcset(arcset: ArcSet) -> list[str]:
-    """Report every pair violating edge-membership or one-direction-per-edge.
+    """Report every arc with an endpoint outside the host, off the host's
+    edges, or whose reverse arc is also present.
 
-    An empty list means the arc set is well formed.
+    Arcs with a foreign endpoint come first, in :meth:`ArcSet.sorted_arcs`
+    order, then the others' faults in id order; an opposite pair is reported
+    once, at its lower tail. An empty list means the arc set is well formed.
     """
-    idx, nbr = arcset.host.index, arcset.host.neighbor_ids
+    host, ids = arcset.host, set(arcset.ids)
+    verts, nbr = host.vertices, host.neighbor_ids
     problems = []
-    reported_reverse = set()
-    for u, v in arcset.sorted_arcs():
-        if u not in idx or v not in idx:
-            problems.append(f"arc {u!r}->{v!r}: endpoint is not a vertex of the host")
-            continue
-        if idx[v] not in nbr[idx[u]]:
+    if len(ids) < len(arcset):  # some arc did not resolve to ids
+        problems = [f"arc {u!r}->{v!r}: endpoint is not a vertex of the host"
+                    for u, v in arcset.sorted_arcs() if u not in host or v not in host]
+    for a, b in arcset.ids:
+        u, v = verts[a], verts[b]
+        if b not in nbr[a]:
             problems.append(f"arc {u!r}->{v!r}: {u!r}-{v!r} is not an edge of the host")
-        if u != v and (v, u) in arcset.arcs and (v, u) not in reported_reverse:
+        if a < b and (b, a) in ids:
             problems.append(f"arc {u!r}->{v!r}: the reverse arc is also present")
-            reported_reverse.add((u, v))
     return problems
 
 
@@ -141,28 +158,28 @@ def decompose(arcset: ArcSet) -> ChainDecomposition:
     problems = validate_arcset(arcset)
     if problems:
         raise ValueError(problems[0])
-    host = arcset.host
+    verts = arcset.host.vertices
     out_arc: dict = {}
-    in_arc: dict = {}
-    for u, v in arcset.sorted_arcs():
-        if u in out_arc:
-            raise ArcStructureError(f"vertex {u!r} has two outgoing arcs", vertex=u)
-        if v in in_arc:
-            raise ArcStructureError(f"vertex {v!r} has two incoming arcs", vertex=v)
-        out_arc[u] = v
-        in_arc[v] = u
+    entered = set()
+    for a, b in arcset.ids:
+        if a in out_arc:
+            raise ArcStructureError(f"vertex {verts[a]!r} has two outgoing arcs", vertex=verts[a])
+        if b in entered:
+            raise ArcStructureError(f"vertex {verts[b]!r} has two incoming arcs", vertex=verts[b])
+        out_arc[a] = b
+        entered.add(b)
     chains = []
     covered = set()
-    for start in host.vertices:
-        if start in in_arc:
+    for start in range(len(verts)):
+        if start in entered:
             continue
         chain = [start]
         while chain[-1] in out_arc:
             chain.append(out_arc[chain[-1]])
-        chains.append(tuple(chain))
+        chains.append(tuple(map(verts.__getitem__, chain)))
         covered.update(chain)
-    if len(covered) != len(host):
-        leftover = next(v for v in host.vertices if v not in covered)
+    if len(covered) != len(verts):
+        leftover = verts[next(v for v in range(len(verts)) if v not in covered)]
         raise ArcStructureError(
             f"arcs through vertex {leftover!r} form a directed cycle", vertex=leftover)
     arcset._chains = ChainDecomposition(tuple(chains))
@@ -233,11 +250,10 @@ def _exhaustive_twist(arcset: ArcSet) -> Optional[list]:
     """
     g = arcset.host
     nbr = g.neighbor_ids
-    idx = g.index
     n = len(g)
     heads = [0] * n  # heads[u]: bitmask of the ids that the arcs leaving u enter
-    for u, v in arcset.arcs:
-        heads[idx[u]] |= 1 << idx[v]
+    for u, v in arcset.ids:
+        heads[u] |= 1 << v
     adjacent = g.neighbor_masks
     on_path = [False] * n
     for root in range(n):
@@ -291,17 +307,15 @@ def _walk_twist(arcset: ArcSet) -> Optional[list]:
     rest of the walk there are arcs, in one direction since an edge carries
     at most one arc; the cycle is cut out and the scan goes on.
 
-    Arcs are numbered in :meth:`ArcSet.sorted_arcs` order, so the witness
+    Arcs are numbered in :attr:`ArcSet.ids` order, so the witness
     does not depend on hashing. Time is O(|A| * Delta * D), Delta the host's
     maximum degree and D the largest out-degree. Expects an arc set that
     passes :func:`validate_arcset`.
     """
     g = arcset.host
     nbr = g.neighbor_ids
-    idx = g.index
-    arcs = arcset.sorted_arcs()
-    tails = [idx[u] for u, _ in arcs]
-    heads = [idx[v] for _, v in arcs]
+    tails = [u for u, _ in arcset.ids]
+    heads = [v for _, v in arcset.ids]
     outs: list[tuple] = [()] * len(g)  # outs[v]: numbers of the arcs leaving v
     for a, u in enumerate(tails):
         outs[u] += (a,)
@@ -437,14 +451,12 @@ def is_forcing_arc_set(arcset: ArcSet) -> bool:
     first) is complete: it performs every arc exactly when some schedule
     does.
     """
-    decomposition = decompose(arcset)
-    host = arcset.host
-    idx = host.index
-    blue = bytearray(len(host))
-    for v in decomposition.initials:
-        blue[idx[v]] = 1
-    target = {idx[u]: idx[v] for u, v in arcset.arcs}
-    return len(_color_change(host.neighbor_ids, blue, target)) == len(arcset.arcs)
+    decompose(arcset)  # refuses arcs that are not vertex-disjoint directed paths
+    nbr = arcset.host.neighbor_ids
+    blue = bytearray(b"\x01") * len(nbr)
+    for _, v in arcset.ids:
+        blue[v] = 0
+    return len(_color_change(nbr, blue, dict(arcset.ids))) == len(arcset.ids)
 
 
 def product_arcset(arcset: ArcSet, other: Graph) -> ArcSet:

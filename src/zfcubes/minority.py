@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .arcsets import ArcSet
+from .arcsets import ArcSet, decompose
 from .errors import ResourceLimitError
 from .graphs import Graph, TwistSpec, bitstrings, build_twisted, twisted_edges
 
@@ -54,8 +54,7 @@ class MinorityCube:
 
     def zero_forcing_set(self) -> tuple:
         """Chain-initial vertices of the arc set, sorted by id."""
-        heads = {v for _, v in self.arcs.arcs}
-        return tuple(v for v in self.graph.vertices if v not in heads)
+        return decompose(self.arcs).initials
 
 
 def _check_dimension(n: int) -> None:

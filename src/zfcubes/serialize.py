@@ -22,9 +22,12 @@ Both formats round-trip exactly through :func:`from_json_document` /
 label is a bit string of that length, and the vertices load in id order.
 
 Both writers work over vertex ids: the edges come from
-:attr:`~zfcubes.graphs.Graph.upper_ids` and the twisted edges from
-:func:`~zfcubes.graphs.twisted_rows`, the one twisted-edge rule; the two JSON
-writers check and order the other entries in one place.
+:attr:`~zfcubes.graphs.Graph.upper_ids`, the arcs from
+:attr:`~zfcubes.arcsets.ArcSet.ids` and the twisted edges from
+:func:`~zfcubes.graphs.twisted_rows`, the one twisted-edge rule. Every writer
+refuses arcs with an endpoint outside the graph, and arcs whose host lists
+other vertices or another order, before any output; the JSON writers check
+and order the other entries in one place.
 :func:`json_document_chunks` streams the JSON text in chunks, which the CLI
 writes as they come, so the whole text of a large cube never sits in memory;
 :func:`dumps_json_document` joins them.
@@ -56,19 +59,27 @@ class GraphDocument:
     extras: dict = field(default_factory=dict)
 
 
-def _check_labels(graph: Graph) -> None:
+def _arc_ids(graph: Graph, arcs: ArcSet | None) -> tuple | None:
+    """The arcs' id pairs, once the labels are strings and every arc lies in the
+    graph; ids are positions in ``arcs.host``, which must list ``graph.vertices``."""
     for v in graph.vertices:
         if not isinstance(v, str):
             raise ValueError(
                 f"only string-labelled graphs can be exported, found {v!r}; relabel first")
+    if arcs is None:
+        return None
+    if arcs.host.vertices != graph.vertices:
+        raise ValueError("the arcs' host does not list the graph's vertices in its order")
+    if len(arcs.ids) != len(arcs):
+        raise ValueError("an arc has an endpoint outside the graph")
+    return arcs.ids
 
 
 def _checked_entries(graph: Graph, arcs: ArcSet | None, initial_set,
-                     extras: dict | None) -> tuple[list | None, dict]:
-    """The ``arcs`` list and the entries after ``twisted_edges`` (the set in
-    id order, then the extras by key), once the labels and extras pass."""
-    _check_labels(graph)
-    arc_list = [[u, v] for u, v in arcs.sorted_arcs()] if arcs is not None else None
+                     extras: dict | None) -> tuple[tuple | None, dict]:
+    """The arcs' id pairs and the entries after ``twisted_edges`` (the set in
+    id order, then the extras by key), once the labels, arcs and extras pass."""
+    ids = _arc_ids(graph, arcs)
     tail = {}
     if initial_set is not None:
         tail["set"] = sorted(initial_set, key=graph.index.__getitem__)
@@ -76,18 +87,18 @@ def _checked_entries(graph: Graph, arcs: ArcSet | None, initial_set,
         if key in _RESERVED_KEYS:
             raise ValueError(f"extra key {key!r} clashes with a document key")
         tail[key] = extras[key]
-    return arc_list, tail
+    return ids, tail
 
 
 def to_json_document(graph: Graph, arcs: ArcSet | None = None,
                      initial_set=None, extras: dict | None = None) -> dict:
     """Assemble the document dict; key order is fixed for byte-stable dumps."""
-    arc_list, tail = _checked_entries(graph, arcs, initial_set, extras)
+    ids, tail = _checked_entries(graph, arcs, initial_set, extras)
     return {
         "dimension": graph.dimension,
         "vertices": list(graph.vertices),
         "edges": [[u, v] for u, v in graph.edges()],
-        "arcs": arc_list,
+        "arcs": None if ids is None else [[graph.vertices[a], graph.vertices[b]] for a, b in ids],
         "twisted_edges": [[u, v] for u, v in twisted_edges(graph)],
         **tail,
     }
@@ -102,19 +113,6 @@ _ROWS_PER_CHUNK = 1024
 
 def _dump_entry(key, value) -> str:
     """One top-level ``"key": value`` line group of the indent-2 layout."""
-    if isinstance(key, str) and type(value) is list:
-        enc = encode_basestring_ascii
-        head = f"  {enc(key)}: "
-        kinds = set(map(type, value))
-        if not value:
-            return head + "[]"
-        if kinds == {str}:
-            return head + "[\n    " + ",\n    ".join(map(enc, value)) + "\n  ]"
-        if (kinds == {list} and set(map(len, value)) == {2}
-                and set(map(type, chain.from_iterable(value))) == {str}):
-            leaves = map(enc, chain.from_iterable(value))
-            pairs = map(",\n      ".join, zip(leaves, leaves))
-            return head + "[\n    [\n      " + _PAIR_SEP.join(pairs) + "\n    ]\n  ]"
     return json.dumps({key: value}, indent=2)[2:-2]
 
 
@@ -139,27 +137,24 @@ def json_document_chunks(graph: Graph, arcs: ArcSet | None = None,
                          initial_set=None, extras: dict | None = None) -> Iterator[str]:
     """The text of :func:`to_json_document`'s document, as an iterator of chunks.
 
-    Everything is checked, and every entry but the two edge lists encoded,
+    Everything is checked, and every entry but the three pair lists encoded,
     before this returns, so a refused document raises before any chunk is
-    written. The edges and twisted edges are then written lazily over vertex
-    ids, from ``upper_ids``, :func:`twisted_rows` and each label encoded
-    once, without lists of label pairs.
+    written. The edges, arcs and twisted edges are then written lazily over
+    vertex ids, from ``upper_ids``, :attr:`ArcSet.ids`, :func:`twisted_rows`
+    and each label encoded once, without lists of label pairs.
     """
-    arc_list, rest = _checked_entries(graph, arcs, initial_set, extras)
+    ids, rest = _checked_entries(graph, arcs, initial_set, extras)
     enc = list(map(encode_basestring_ascii, graph.vertices))
     head = ("{\n" + _dump_entry("dimension", graph.dimension) + ',\n  "vertices": '
             + ("[\n    " + ",\n    ".join(enc) + "\n  ]" if enc else "[]") + ",\n")
-    middle = ",\n" + _dump_entry("arcs", arc_list) + ",\n"
+    arc_rows = [[] for _ in enc]  # arc_rows[a]: the heads of the arcs leaving a
+    for a, b in ids or ():
+        arc_rows[a].append(b)
+    arcs_entry = [_dump_entry("arcs", None)] if ids is None else _pair_entry("arcs", enc, arc_rows)
     tail = "".join(",\n" + _dump_entry(*entry) for entry in rest.items()) + "\n}\n"
-    return _document_chunks(graph.upper_ids, enc, head, middle, twisted_rows(graph), tail)
-
-
-def _document_chunks(upper, enc, head, middle, twisted, tail) -> Iterator[str]:
-    yield head
-    yield from _pair_entry("edges", enc, upper)
-    yield middle
-    yield from _pair_entry("twisted_edges", enc, twisted)
-    yield tail
+    # the pair entries are generators: each is written only as the text is read
+    return chain([head], _pair_entry("edges", enc, graph.upper_ids), [",\n"], arcs_entry,
+                 [",\n"], _pair_entry("twisted_edges", enc, twisted_rows(graph)), [tail])
 
 
 def dumps_json_document(graph: Graph, arcs: ArcSet | None = None,
@@ -169,9 +164,9 @@ def dumps_json_document(graph: Graph, arcs: ArcSet | None = None,
     ``json.dumps`` uses its C encoder only without ``indent``; with it, every
     value goes through the pure-Python ``_iterencode``, which dominated the
     export of large cubes. The indent-2 layout is written here directly
-    instead, by :func:`json_document_chunks`: lists of strings and of string
-    pairs are joined from leaves encoded by the C ``encode_basestring_ascii``,
-    and every other value is left to ``json.dumps``.
+    instead, by :func:`json_document_chunks`: the vertices and the three pair
+    lists are joined from labels encoded by the C ``encode_basestring_ascii``,
+    and every other entry is left to ``json.dumps``.
     """
     return "".join(json_document_chunks(graph, arcs, initial_set, extras))
 
@@ -258,12 +253,11 @@ def from_json_document(data) -> GraphDocument:
     arcs = None
     if arc_pairs is not None:
         try:
-            known_members = all(map(graph.index.__contains__, chain.from_iterable(arc_pairs)))
+            arcs = ArcSet(graph, arc_pairs)
         except TypeError:  # an unhashable member
-            known_members = False
-        if not known_members:
             locate("arcs")
-        arcs = ArcSet(graph, arc_pairs)
+        if len(arcs.ids) != len(arcs):  # a member that is not a vertex
+            locate("arcs")
 
     initial = data.get("set")
     if initial is not None:
@@ -280,23 +274,15 @@ def from_json_document(data) -> GraphDocument:
 
 def to_dot(graph: Graph, arcs: ArcSet | None = None, name: str = "zfcubes") -> str:
     """Render the graph in DOT, arcs as ``->`` and twisted edges in red."""
-    _check_labels(graph)
+    ids = _arc_ids(graph, arcs) or ()
     verts = graph.vertices
     quoted = [f'"{v}"' for v in verts]
     n = len(verts)
     # the lines of arcs and twisted edges, keyed by lo * n + hi over ids; of
-    # two opposite arcs, the one from the lower id is written
+    # two opposite arcs, the one from the lower id (met first) is written
     special: dict[int, str] = {}
-    if arcs is not None:
-        get = graph.index.get
-        for u, v in arcs.arcs:
-            a, b = get(u), get(v)
-            if a is not None and b is not None and a != b:
-                stmt = f"  {quoted[a]} -> {quoted[b]}"
-                if a < b:
-                    special[a * n + b] = stmt
-                else:
-                    special.setdefault(b * n + a, stmt)
+    for a, b in ids:
+        special.setdefault(a * n + b if a < b else b * n + a, f"  {quoted[a]} -> {quoted[b]}")
     for a, row in enumerate(twisted_rows(graph)):
         for b in row:
             key = a * n + b

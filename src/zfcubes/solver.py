@@ -429,21 +429,22 @@ def solve_exact(graph: Graph, *, max_k: Optional[int] = None,
     Budgets turn the result inconclusive instead of wrong; ``bounds`` then
     reports a proven lower bound and the best known upper bound.
     ``budget_subsets`` caps ``subsets_tested`` exactly, also inside a
-    bulk-counted run of subsets. ``budget_secs`` is measured on the
-    monotonic clock and read at least once per 512 successor states of each
-    wavefront run, a feasibility check's included, and, in the enumeration,
-    once per prefix whose subsets were counted: after the leaves of each
-    prefix with one slot left, which at size 1 is the empty prefix, and
-    after each bulk count past a highest r-trigger or a failed check, the
-    empty prefix's included. Exhausting every size up to
-    ``max_k`` gives the lower bound max_k + 1. When a budget stops the
-    wavefront in the bucket of cost c, every cheaper state was expanded and
-    none of cost c is full, so the lower bound is c + 1; in the certificate
-    mode it is the size being enumerated. No lower bound is below
-    max(1, minimum degree). A budget that stops the witness level, inside a
-    feasibility check too, leaves bounds (z, z) and no witness. A negative
-    ``max_k`` or ``budget_subsets``, or a ``budget_secs`` that is negative
-    or not finite, raises ``ValueError``.
+    bulk-counted run of subsets. In the default engine that count is mostly
+    witness-level subsets counted in bulk, not work; ``budget_secs`` caps
+    the work. It is measured on the monotonic clock and read at least once
+    per 512 successor states of each wavefront run, a feasibility check's
+    included, and, in the enumeration, once per prefix whose subsets were
+    counted: after the leaves of each prefix with one slot left, which at
+    size 1 is the empty prefix, and after each bulk count past a highest
+    r-trigger or a failed check, the empty prefix's included. Exhausting
+    every size up to ``max_k`` gives the lower bound max_k + 1. When a
+    budget stops the wavefront in the bucket of cost c, every cheaper state
+    was expanded and none of cost c is full, so the lower bound is c + 1; in
+    the certificate mode it is the size being enumerated. No lower bound is
+    below max(1, minimum degree). A budget that stops the witness level,
+    inside a feasibility check too, leaves bounds (z, z) and no witness. A
+    negative ``max_k`` or ``budget_subsets``, or a ``budget_secs`` that is
+    negative or not finite, raises ``ValueError``.
     """
     n = len(graph)
     if n == 0:

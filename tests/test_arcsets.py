@@ -46,6 +46,15 @@ def test_validate_reports_non_edges_and_reversals():
     assert len(problems) == 1 and "not a vertex" in problems[0]
 
 
+def test_validate_reports_foreign_endpoints_first():
+    # then the faults of the arcs on the host, in id order
+    arcs = ArcSet(build_hypercube(2), [("00", "11"), ("01", "zz"), ("10", "00"), ("00", "10")])
+    assert validate_arcset(arcs) == [
+        "arc '01'->'zz': endpoint is not a vertex of the host",
+        "arc '00'->'10': the reverse arc is also present",
+        "arc '00'->'11': '00'-'11' is not an edge of the host"]
+
+
 def test_decompose_base_chains():
     decomposition = decompose(f3())
     assert decomposition.chains == (("000", "100", "110"),

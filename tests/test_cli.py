@@ -623,3 +623,60 @@ def test_spec_file_plans_equal_the_level_matchings():
             spec = cli._parse_twist_spec_file(json.dumps({"levels": plan}))
             assert spec.dimension == n
             assert _levels(spec) == _levels(expected)
+
+
+def test_verify_arcs_reports_a_stalled_execution(capsys, tmp_path):
+    # on the 4-cycle 00-01-11-10 the arcs 00->01 and 11->10 are valid paths,
+    # but each tail keeps two white neighbours: nothing can be performed
+    doc = json.loads(run_cli(capsys, "build", "hypercube", "-n", "2")[1])
+    doc["arcs"] = [["00", "01"], ["11", "10"]]
+    path = tmp_path / "stall.json"
+    path.write_text(json.dumps(doc))
+    code, out, manifest = run_cli(capsys, "verify", "arcs", "--input", str(path))
+    assert (code, manifest["outcome"]) == (1, "fail")
+    assert out == ("2 arcs, 2 chains, 0 isolated vertices\n"
+                   "FAIL: greedy execution stalls; not a forcing arc set\n")
+    code, out, _ = run_cli(capsys, "verify", "twist", "--input", str(path))
+    assert (code, out) == (1, "chain twist: 00 01 11 10\n")
+
+
+@pytest.mark.parametrize("argv, spec, message", [
+    (["build", "hypercube"], None, "build hypercube requires -n"),
+    (["build", "minority"], None, "build minority requires -n"),
+    (["build", "twisted-from-spec"], None, "build twisted-from-spec requires --spec-file"),
+    (["build", "twisted-from-spec", "--spec-file", "{path}"], "not json",
+     "line 1 column 1: invalid JSON: Expecting value"),
+    (["build", "twisted-from-spec", "--spec-file", "{path}"], "[1]",
+     "spec file must be an object with a 'levels' list"),
+    (["build", "twisted-from-spec", "--spec-file", "{path}"], '{"levels": [3]}',
+     "levels[0]: each level must be 'identity' or an override table"),
+    (["verify", "arcs", "--input", "{path}"], '{"vertices": ["0"], "edges": []}',
+     "document carries no 'arcs' payload"),
+    (["verify", "twist", "--input", "{path}"], '{"vertices": ["0"], "edges": []}',
+     "document carries no 'arcs' payload"),
+])
+def test_cli_refusals(capsys, tmp_path, argv, spec, message):
+    path = tmp_path / "input.json"
+    if spec is not None:
+        path.write_text(spec)
+    code = main([arg.format(path=path) for arg in argv])
+    captured = capsys.readouterr()
+    manifest = json.loads(captured.err.strip().splitlines()[-1])
+    assert (code, captured.out, manifest["error_type"]) == (2, "", "DocumentError")
+    assert captured.err.splitlines()[0] == f"error: {message}"
+
+
+def test_an_export_of_arcs_outside_the_graph_writes_nothing(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "q2.json"
+    path.write_text(dumps_json_document(graphs.build_hypercube(2)))
+    q2 = graphs.build_hypercube(2)
+
+    def load(text):  # a document the writers refuse: an arc leaves the graph
+        return GraphDocument(graph=q2, arcs=ArcSet(q2, [("00", "01"), ("11", "zz")]))
+
+    monkeypatch.setattr(cli, "from_json_document", load)
+    output = tmp_path / "out.json"
+    for extra in ([], ["--output", str(output)], ["--dot"], ["--dot", "--output", str(output)]):
+        code, out, manifest = run_cli(capsys, "export", "--input", str(path), *extra)
+        assert (code, out, manifest["error_type"]) == (2, "", "ValueError"), extra
+    assert not output.exists()

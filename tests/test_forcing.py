@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import naive_closure, random_graph
-from zfcubes import (build_hypercube, closure, complete_graph, decompose,
+from zfcubes import (ForcingTrace, build_hypercube, closure, complete_graph, decompose,
                      is_zero_forcing_set, path_graph, replay_trace,
                      trace_to_arcset)
 
@@ -111,3 +111,13 @@ def test_derived_set_matches_oracle_under_any_schedule(seed, size):
     expected = closure(g, s).derived
     assert naive_closure(g, s) == expected
     assert naive_closure(g, s, rng=rng) == expected
+
+
+def test_replay_refuses_an_illegal_force():
+    g = path_graph(3)
+    with pytest.raises(ValueError) as err:
+        replay_trace(ForcingTrace(g, (0,), ((1, 2),)))
+    assert str(err.value) == "step 0: forcer 1 is not blue"
+    with pytest.raises(ValueError) as err:
+        replay_trace(ForcingTrace(g, (1,), ((1, 0),)))
+    assert str(err.value) == "step 0: 1 has white neighbours ['0', '2'], cannot force 0"

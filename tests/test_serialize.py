@@ -331,3 +331,48 @@ def test_chunks_are_validated_before_the_first_one(monkeypatch):
         chunks = list(json_document_chunks(cube.graph, cube.arcs))
         assert "".join(chunks) == expected
         assert len(chunks) >= 8 + 64 // rows
+
+
+def test_writers_refuse_arcs_outside_the_graph_before_any_output():
+    q2 = build_hypercube(2)
+    foreign = ArcSet(q2, [("00", "01"), ("11", "zz")])
+    # ids are positions in the arcs' host, so its vertex order must be the graph's
+    reordered = ArcSet(Graph(q2.vertices[::-1], q2.edges(), dimension=2), [("00", "01")])
+    writers = (json_document_chunks, dumps_json_document, to_json_document, to_dot)
+    for arcs, message in ((foreign, "an arc has an endpoint outside the graph"),
+                          (reordered, "does not list the graph's vertices in its order")):
+        for write in writers:
+            with pytest.raises(ValueError, match=message):
+                write(q2, arcs)  # json_document_chunks: on the call, before a chunk
+    # the same arcs on their own host are written, in host id order
+    assert to_json_document(reordered.host, reordered)["arcs"] == [["00", "01"]]
+    assert '"00" -> "01"' in to_dot(reordered.host, reordered)
+
+
+def test_loader_refusals_are_located():
+    for text, location, message in (
+            ("[]", "$", "document must be a JSON object"),
+            ('{"vertices": ["0"]}', "edges", "missing edges"),
+            ('{"vertices": ["0"], "edges": 3}', "edges", "edges must be a list of pairs"),
+            ('{"vertices": ["0"], "edges": [], "set": "0"}', "set",
+             "set must be a list of vertex labels"),
+            ('{"vertices": [1], "edges": []}', "vertices[0]", "vertex labels must be strings")):
+        with pytest.raises(DocumentError) as err:
+            from_json_document(text)
+        assert (err.value.location, str(err.value)) == (location, f"{location}: {message}")
+    with pytest.raises(DocumentError) as err:
+        from_dot("graph g {\n}\n")
+    assert (err.value.location, str(err.value)) == ("body", "body: no vertex statements found")
+
+
+def test_loaders_accept_bytes():
+    cube = build_minority_cube(4)
+    text = dumps_json_document(cube.graph, cube.arcs, cube.zero_forcing_set(),
+                               extras={"note": "é"})
+    for parse, source in ((from_json_document, text), (from_dot, to_dot(cube.graph, cube.arcs))):
+        from_text, from_bytes = parse(source), parse(source.encode())
+        assert from_bytes.graph == from_text.graph and from_bytes.graph == cube.graph
+        assert from_bytes.graph.vertices == from_text.graph.vertices
+        assert from_bytes.arcs == from_text.arcs == cube.arcs
+        assert (from_bytes.initial_set, from_bytes.extras) == (
+            from_text.initial_set, from_text.extras)

@@ -44,6 +44,21 @@ def test_upper_bound_takes_the_final_bit_zero_half():
         upper_bound(complete_graph(4))
 
 
+def test_upper_bound_refuses_graphs_that_are_not_twisted_cubes():
+    path = Graph(["0", "1", "2"], [("0", "1"), ("1", "2")], dimension=1)
+    with pytest.raises(ValueError) as err:
+        upper_bound(path)
+    assert str(err.value) == "graph does not look like it was built from a twist plan"
+    # the right size and labels, but in the copy-0 half {00, 10} each vertex
+    # has both of its neighbours, 01 and 11, white
+    square = Graph(["00", "01", "10", "11"],
+                   [("00", "01"), ("01", "10"), ("10", "11"), ("11", "00")], dimension=2)
+    with pytest.raises(ValueError) as err:
+        upper_bound(square)
+    assert str(err.value) == "copy-0 half does not force; not a twisted hypercube"
+    assert solve_exact(square).z == 2
+
+
 def test_solve_small_hypercubes():
     assert solve_exact(build_hypercube(2)).z == 2
     assert solve_exact(build_hypercube(3)).z == 4
