@@ -17,8 +17,8 @@ nodes are the arcs, when no vertex has two outgoing arcs.
 :func:`_color_change` is the package's one colour-change kernel: the
 closure of a blue set (``forcing.closure``) and the execution of an arc set
 (:func:`is_forcing_arc_set`) both run it. Every function here reads
-:attr:`ArcSet.ids`, the arcs resolved once into vertex-id pairs; labels are
-built only for results and messages.
+:attr:`ArcSet.ids`, the arcs as vertex-id pairs, resolved when the set is
+made; labels are built only for results and messages.
 """
 
 from __future__ import annotations
@@ -40,23 +40,34 @@ EXHAUSTIVE_VERTEX_LIMIT = 16
 
 
 class ArcSet:
-    """A set of directed edges over a host graph.
-
-    ``arcs`` holds the (tail, head) label pairs. Every arc consumer reads
-    ``ids``, the (tail id, head id) pairs of the arcs with both ends in the
-    host, resolved once on first use; the label views keep foreign arcs.
+    """A set of directed edges over a host graph, held as ``ids``: the distinct
+    (tail id, head id) pairs, sorted, which every arc consumer reads. An arc
+    with an endpoint outside the host is refused here; ``arcs`` and
+    :meth:`sorted_arcs` are label views.
     """
 
-    __slots__ = ("host", "arcs", "_ids", "_chains")
+    __slots__ = ("host", "ids", "_arcs", "_chains")
 
     def __init__(self, host: Graph, arcs: Iterable[Arc]):
         self.host = host
-        self.arcs = frozenset((u, v) for u, v in arcs)
-        self._ids = None
-        self._chains = None
+        index = host.index
+        pairs = set()
+        for u, v in arcs:
+            if u not in index or v not in index:
+                raise ValueError(f"arc {u!r}->{v!r}: endpoint is not a vertex of the host")
+            pairs.add((index[u], index[v]))
+        self.ids = tuple(sorted(pairs))
+        self._arcs = self._chains = None
+
+    @property
+    def arcs(self) -> frozenset:
+        """The (tail, head) label pairs, built on first read."""
+        if self._arcs is None:
+            self._arcs = frozenset(self.sorted_arcs())
+        return self._arcs
 
     def __len__(self) -> int:
-        return len(self.arcs)
+        return len(self.ids)
 
     def __contains__(self, arc) -> bool:
         return arc in self.arcs
@@ -72,27 +83,12 @@ class ArcSet:
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        return f"ArcSet({len(self.arcs)} arcs on {self.host!r})"
+        return f"ArcSet({len(self.ids)} arcs on {self.host!r})"
 
     def sorted_arcs(self) -> list[Arc]:
-        """Arcs by host position of (tail, head); foreign endpoints sort last."""
-        idx = self.host.index
-        m = len(idx)
-
-        def key(arc):
-            iu, iv = idx.get(arc[0], m), idx.get(arc[1], m)
-            return iu * (m + 1) + iv, repr(arc) if m in (iu, iv) else ""
-
-        return sorted(self.arcs, key=key)
-
-    @property
-    def ids(self) -> tuple:
-        """Id pairs of the arcs with both ends in the host, in :meth:`sorted_arcs` order."""
-        if self._ids is None:
-            get = self.host.index.get
-            self._ids = tuple(sorted(pair for pair in ((get(u), get(v)) for u, v in self.arcs)
-                                     if None not in pair))
-        return self._ids
+        """The (tail, head) label pairs in ``ids`` order."""
+        verts = self.host.vertices
+        return [(verts[a], verts[b]) for a, b in self.ids]
 
 
 @dataclass(frozen=True)
@@ -124,19 +120,14 @@ class ChainDecomposition:
 
 
 def validate_arcset(arcset: ArcSet) -> list[str]:
-    """Report every arc with an endpoint outside the host, off the host's
-    edges, or whose reverse arc is also present.
+    """Report every arc off the host's edges, or whose reverse arc is also present.
 
-    Arcs with a foreign endpoint come first, in :meth:`ArcSet.sorted_arcs`
-    order, then the others' faults in id order; an opposite pair is reported
-    once, at its lower tail. An empty list means the arc set is well formed.
+    Faults come in id order; an opposite pair is reported once, at its lower
+    tail. An empty list means the arc set is well formed.
     """
-    host, ids = arcset.host, set(arcset.ids)
-    verts, nbr = host.vertices, host.neighbor_ids
+    ids = set(arcset.ids)
+    verts, nbr = arcset.host.vertices, arcset.host.neighbor_ids
     problems = []
-    if len(ids) < len(arcset):  # some arc did not resolve to ids
-        problems = [f"arc {u!r}->{v!r}: endpoint is not a vertex of the host"
-                    for u, v in arcset.sorted_arcs() if u not in host or v not in host]
     for a, b in arcset.ids:
         u, v = verts[a], verts[b]
         if b not in nbr[a]:
@@ -468,6 +459,4 @@ def product_arcset(arcset: ArcSet, other: Graph) -> ArcSet:
     if not is_forcing_arc_set(arcset):
         raise ValueError("arc set must be forcing to lift over a product")
     product = cartesian_product(arcset.host, other)
-    arcs = [((u, x), (v, x))
-            for u, v in arcset.sorted_arcs() for x in other.vertices]
-    return ArcSet(product, arcs)
+    return ArcSet(product, [((u, x), (v, x)) for u, v in arcset for x in other.vertices])

@@ -25,9 +25,10 @@ Both writers work over vertex ids: the edges come from
 :attr:`~zfcubes.graphs.Graph.upper_ids`, the arcs from
 :attr:`~zfcubes.arcsets.ArcSet.ids` and the twisted edges from
 :func:`~zfcubes.graphs.twisted_rows`, the one twisted-edge rule. Every writer
-refuses arcs with an endpoint outside the graph, and arcs whose host lists
-other vertices or another order, before any output; the JSON writers check
-and order the other entries in one place.
+refuses arcs whose host lists other vertices or another order, before any
+output; so does :func:`to_dot` an arc off an edge or of an opposite pair,
+which DOT cannot write. The JSON writers check and order the other entries
+in one place.
 :func:`json_document_chunks` streams the JSON text in chunks, which the CLI
 writes as they come, so the whole text of a large cube never sits in memory;
 :func:`dumps_json_document` joins them.
@@ -42,7 +43,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
-from .arcsets import ArcSet
+from .arcsets import ArcSet, validate_arcset
 from .errors import DocumentError
 from .graphs import Graph, twisted_edges, twisted_rows
 
@@ -60,8 +61,8 @@ class GraphDocument:
 
 
 def _arc_ids(graph: Graph, arcs: ArcSet | None) -> tuple | None:
-    """The arcs' id pairs, once the labels are strings and every arc lies in the
-    graph; ids are positions in ``arcs.host``, which must list ``graph.vertices``."""
+    """The arcs' id pairs, once the labels are strings; ids are positions in
+    ``arcs.host``, which must list ``graph.vertices``."""
     for v in graph.vertices:
         if not isinstance(v, str):
             raise ValueError(
@@ -70,8 +71,6 @@ def _arc_ids(graph: Graph, arcs: ArcSet | None) -> tuple | None:
         return None
     if arcs.host.vertices != graph.vertices:
         raise ValueError("the arcs' host does not list the graph's vertices in its order")
-    if len(arcs.ids) != len(arcs):
-        raise ValueError("an arc has an endpoint outside the graph")
     return arcs.ids
 
 
@@ -254,9 +253,7 @@ def from_json_document(data) -> GraphDocument:
     if arc_pairs is not None:
         try:
             arcs = ArcSet(graph, arc_pairs)
-        except TypeError:  # an unhashable member
-            locate("arcs")
-        if len(arcs.ids) != len(arcs):  # a member that is not a vertex
+        except (TypeError, ValueError):  # an unhashable member or not a vertex
             locate("arcs")
 
     initial = data.get("set")
@@ -273,16 +270,22 @@ def from_json_document(data) -> GraphDocument:
 
 
 def to_dot(graph: Graph, arcs: ArcSet | None = None, name: str = "zfcubes") -> str:
-    """Render the graph in DOT, arcs as ``->`` and twisted edges in red."""
+    """Render the graph in DOT, arcs as ``->`` and twisted edges in red.
+
+    DOT writes an arc as the line of its edge, so an arc off the graph's edges
+    or of an opposite pair raises :func:`validate_arcset`'s first message.
+    """
     ids = _arc_ids(graph, arcs) or ()
-    verts = graph.vertices
+    verts, nbr = graph.vertices, graph.neighbor_ids
     quoted = [f'"{v}"' for v in verts]
     n = len(verts)
-    # the lines of arcs and twisted edges, keyed by lo * n + hi over ids; of
-    # two opposite arcs, the one from the lower id (met first) is written
+    # the lines of arcs and twisted edges, keyed by lo * n + hi over ids
     special: dict[int, str] = {}
     for a, b in ids:
-        special.setdefault(a * n + b if a < b else b * n + a, f"  {quoted[a]} -> {quoted[b]}")
+        key = a * n + b if a < b else b * n + a
+        if key in special or b not in nbr[a]:
+            raise ValueError(validate_arcset(ArcSet(graph, arcs))[0])  # on the graph's edges
+        special[key] = f"  {quoted[a]} -> {quoted[b]}"
     for a, row in enumerate(twisted_rows(graph)):
         for b in row:
             key = a * n + b

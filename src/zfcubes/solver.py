@@ -399,6 +399,8 @@ def _search_level(masks, full: int, k: int, degree: int,
                         return None, tested, True  # a budget stopped the check
                     verdict = feasible[blue, slots] = z is not None
                 if not verdict:
+                    if cap is not None and tested + math.comb(n - x, slots) > cap:
+                        return None, cap, True
                     stats["pruned_subsets"] += (math.comb(n - x, slots)
                                                 - math.comb(n - 1 - ends[d], slots))
                     ends[d] = x - 1

@@ -7,7 +7,7 @@ from helpers import (naive_closure, random_connected_graph, random_dipath_arcset
                      random_graph, random_oriented_arcset, reference_adjacency,
                      reference_find_chain_twist, reference_is_forcing_arc_set,
                      reference_walk_cycle_exists)
-from zfcubes import (ArcSet, ArcStructureError, ResourceLimitError, TwistSpec,
+from zfcubes import (ArcSet, ArcStructureError, Graph, ResourceLimitError, TwistSpec,
                      build_hypercube, build_minority_cube, build_twisted, closure,
                      complete_graph, cycle_graph, decompose, find_chain_twist,
                      is_chain_twist, is_chain_twist_path, is_forcing_arc_set,
@@ -42,17 +42,34 @@ def test_validate_reports_non_edges_and_reversals():
     assert len(problems) == 1 and "not an edge" in problems[0]
     problems = validate_arcset(ArcSet(q3, [("000", "001"), ("001", "000")]))
     assert len(problems) == 1 and "reverse" in problems[0]
-    problems = validate_arcset(ArcSet(q3, [("000", "x")]))
-    assert len(problems) == 1 and "not a vertex" in problems[0]
+    with pytest.raises(ValueError, match="endpoint is not a vertex of the host"):
+        ArcSet(q3, [("000", "x")])
 
 
-def test_validate_reports_foreign_endpoints_first():
-    # then the faults of the arcs on the host, in id order
-    arcs = ArcSet(build_hypercube(2), [("00", "11"), ("01", "zz"), ("10", "00"), ("00", "10")])
+def test_validate_reports_faults_in_id_order():
+    with pytest.raises(ValueError, match="endpoint is not a vertex of the host"):
+        ArcSet(build_hypercube(2), [("00", "11"), ("01", "zz")])
+    arcs = ArcSet(build_hypercube(2), [("00", "11"), ("10", "00"), ("00", "10")])
     assert validate_arcset(arcs) == [
-        "arc '01'->'zz': endpoint is not a vertex of the host",
         "arc '00'->'10': the reverse arc is also present",
         "arc '00'->'11': '00'-'11' is not an edge of the host"]
+
+
+def test_an_arcset_is_its_vertex_id_pairs():
+    host = Graph(["b", "a", "c"], [("b", "a"), ("a", "c"), ("c", "b")])  # ids b=0, a=1, c=2
+    pairs = [("c", "b"), ("a", "c"), ("b", "a"), ("a", "c")]
+    arcs = ArcSet(host, pairs)
+    assert arcs.ids == ((0, 1), (1, 2), (2, 0)) and len(arcs) == 3  # the repeat collapses
+    assert arcs._arcs is None  # the label set is built on first read
+    assert arcs.arcs == set(pairs) and ("a", "c") in arcs and ("c", "a") not in arcs
+    assert arcs.sorted_arcs() == list(arcs) == [("b", "a"), ("a", "c"), ("c", "b")]
+    foreign = [("b", "a"), ("a", "z"), ("z", "b")]
+    for given in (foreign, (arc for arc in foreign)):
+        with pytest.raises(ValueError) as err:
+            ArcSet(host, given)
+        assert str(err.value) == "arc 'a'->'z': endpoint is not a vertex of the host"
+    with pytest.raises(TypeError):
+        ArcSet(host, [("b", "a"), ("a", ["c"])])
 
 
 def test_decompose_base_chains():
@@ -362,12 +379,13 @@ def test_minority_cubes_are_twist_free_to_dimension_ten():
 
 def test_sorted_arcs_order_and_unknown_endpoints():
     host = cycle_graph(4)
-    strays = [("z", 0), ("x", 2), ("y", 0), ("w", 0), ("x", 0)]
-    arcs = ArcSet(host, [(3, 0), (0, 1), (2, 3), (1, "y")] + strays)
-    assert arcs.sorted_arcs() == [(0, 1), (1, "y"), (2, 3), (3, 0), ("w", 0),
-                                  ("x", 0), ("y", 0), ("z", 0), ("x", 2)]
+    arcs = ArcSet(host, [(3, 0), (0, 1), (2, 3)])
+    assert arcs.sorted_arcs() == [(0, 1), (2, 3), (3, 0)]
     arcs.sorted_arcs().clear()
-    assert list(arcs) == arcs.sorted_arcs() and len(arcs.sorted_arcs()) == 9
+    assert list(arcs) == arcs.sorted_arcs() and len(arcs.sorted_arcs()) == 3
+    for stray in [(1, "y"), ("z", 0), ("x", 2), ("y", 0), ("w", 0), ("x", 0)]:
+        with pytest.raises(ValueError, match="endpoint is not a vertex of the host"):
+            ArcSet(host, [(3, 0), (0, 1), (2, 3), stray])
 
 
 def test_edge_membership_matches_label_sets():
@@ -378,7 +396,7 @@ def test_edge_membership_matches_label_sets():
         adj = reference_adjacency(g.vertices, g.edges())
         verts = list(g.vertices)
         pairs = [(u, v) for u in verts for v in verts if u != v and rng.random() < 0.3]
-        arcset = ArcSet(g, pairs + [("v0", "w")])
+        arcset = ArcSet(g, pairs)
         got = [m for m in validate_arcset(arcset) if "not an edge" in m]
         assert got == [f"arc {u!r}->{v!r}: {u!r}-{v!r} is not an edge of the host"
                        for u, v in arcset.sorted_arcs()

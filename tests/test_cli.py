@@ -196,6 +196,24 @@ def test_verify_arcs_prints_every_violation(capsys, tmp_path):
                    "FAIL: not a valid arc set\n")
 
 
+def test_a_dot_export_of_faulty_arcs_writes_nothing(capsys, tmp_path):
+    # DOT writes an arc as the line of its edge, so it cannot carry these faults
+    doc = {
+        "vertices": ["00", "01", "10", "11"],
+        "edges": [["00", "01"], ["00", "10"], ["01", "11"], ["10", "11"]],
+        "arcs": [["00", "11"], ["01", "11"], ["11", "01"]],
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, manifest = run_cli(capsys, "export", "--dot", "--input", str(path))
+    assert (code, out, manifest["error_type"]) == (2, "", "ValueError")
+    main(["export", "--dot", "--input", str(path)])
+    assert capsys.readouterr().err.splitlines()[0] == (
+        "error: arc '00'->'11': '00'-'11' is not an edge of the host")
+    code, out, _ = run_cli(capsys, "export", "--input", str(path))
+    assert code == 0 and json.loads(out)["arcs"] == doc["arcs"]
+
+
 def test_verify_arcs_reports_a_loop_arc_once(capsys, tmp_path):
     path = tmp_path / "loop.json"
     path.write_text('{"vertices":["0","1"],"edges":[["0","1"]],"arcs":[["1","1"]]}')

@@ -335,18 +335,33 @@ def test_chunks_are_validated_before_the_first_one(monkeypatch):
 
 def test_writers_refuse_arcs_outside_the_graph_before_any_output():
     q2 = build_hypercube(2)
-    foreign = ArcSet(q2, [("00", "01"), ("11", "zz")])
+    with pytest.raises(ValueError, match="endpoint is not a vertex of the host"):
+        ArcSet(q2, [("00", "01"), ("11", "zz")])  # no writer can be given such arcs
     # ids are positions in the arcs' host, so its vertex order must be the graph's
     reordered = ArcSet(Graph(q2.vertices[::-1], q2.edges(), dimension=2), [("00", "01")])
     writers = (json_document_chunks, dumps_json_document, to_json_document, to_dot)
-    for arcs, message in ((foreign, "an arc has an endpoint outside the graph"),
-                          (reordered, "does not list the graph's vertices in its order")):
-        for write in writers:
-            with pytest.raises(ValueError, match=message):
-                write(q2, arcs)  # json_document_chunks: on the call, before a chunk
+    for write in writers:
+        with pytest.raises(ValueError, match="does not list the graph's vertices in its order"):
+            write(q2, reordered)  # json_document_chunks: on the call, before a chunk
     # the same arcs on their own host are written, in host id order
     assert to_json_document(reordered.host, reordered)["arcs"] == [["00", "01"]]
     assert '"00" -> "01"' in to_dot(reordered.host, reordered)
+
+
+def test_to_dot_refuses_faulty_arcs_before_any_output():
+    q2 = build_hypercube(2)
+    for pairs in ([("00", "11"), ("01", "11"), ("11", "01")], [("11", "01"), ("01", "11")],
+                  [("10", "00"), ("00", "01"), ("00", "10")], [("00", "00")]):
+        arcs = ArcSet(q2, pairs)
+        with pytest.raises(ValueError) as err:
+            to_dot(q2, arcs)
+        assert str(err.value) == validate_arcset(arcs)[0]
+        assert len(to_json_document(q2, arcs)["arcs"]) == len(pairs)  # JSON keeps every arc
+    # an arc on an edge of its host but not of the graph written is off an edge too
+    k4 = Graph(q2.vertices, [(u, v) for u in q2.vertices for v in q2.vertices if u < v])
+    with pytest.raises(ValueError, match="'00'-'11' is not an edge of the host"):
+        to_dot(q2, ArcSet(k4, [("00", "11")]))
+    assert '"00" -> "11"' in to_dot(k4, ArcSet(k4, [("00", "11")]))
 
 
 def test_loader_refusals_are_located():

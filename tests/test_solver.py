@@ -447,3 +447,12 @@ def test_deep_levels_do_not_recurse(prune):
     result = solve_exact(complete_graph(1100), budget_secs=30, prune=prune)
     assert (result.z, result.status) == (1099, "exact")
     assert result.witness == tuple(range(1099))
+
+
+def test_a_stopped_witness_level_prunes_no_more_subsets_than_it_tested():
+    # the stop comes before a failed check's subsets are counted as pruned
+    graph = build_twisted(TwistSpec.random(5, random.Random(5)))
+    result = solve_exact(graph, budget_subsets=1_000_000)
+    assert (result.status, result.bounds, result.subsets_tested) == (
+        "inconclusive", (13, 13), 1_000_000)
+    assert 0 < result.pruned_subsets <= result.subsets_tested
