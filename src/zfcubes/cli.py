@@ -3,12 +3,13 @@
 Exit codes are a stable contract: 0 for a passing run, 1 for a mathematical
 failure (set does not force, arcs do not execute, a chain twist exists, a
 solve stayed inconclusive), 2 for usage, parse, or domain errors, and for a
-run cut short by recursion depth, memory or an interrupt; the manifest then
-names the exception class as ``error_type``. Every invocation writes one
-machine-readable manifest line to stderr. It carries the process's peak
-resident set size as ``peak_rss_mb`` and, for ``solve``, the ``engine`` it
-ran and the work counts of its ``SolveResult``. Stdout carries only the
-requested payload and is byte-identical across identical invocations.
+run cut short by recursion depth, memory, an interrupt or a closed stdout
+pipe; the manifest then names the exception class as ``error_type``. Every
+invocation, ``--help`` too, writes one machine-readable manifest line to
+stderr. It carries the process's peak resident set size as ``peak_rss_mb``
+and, for ``solve``, the ``engine`` it ran and the work counts of its
+``SolveResult``. Stdout carries only the requested payload and is
+byte-identical across identical invocations.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import resource
 import sys
 import time
@@ -302,16 +304,19 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # --help, or a usage error
         code = exc.code if isinstance(exc.code, int) else 2
-        if code != 0:
-            _write_manifest("error", started)
+        _write_manifest("ok" if code == 0 else "error", started)
         return code
     handler_started = time.perf_counter()
     try:
         code = globals()[args.handler](args)
+        sys.stdout.flush()  # so that a closed pipe is met here, by every command
     except (DocumentError, MatchingError, ResourceLimitError, ValueError,
-            RecursionError, MemoryError, KeyboardInterrupt) as exc:
+            RecursionError, MemoryError, KeyboardInterrupt, BrokenPipeError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # the interpreter flushes stdout again at exit; let that flush write nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         _manifest["error_type"] = type(exc).__name__
         code = 2

@@ -51,10 +51,10 @@ class Graph:
 
     The vertex tuple fixes a canonical order of ids (for bit-string graphs
     this is id order); ``index`` maps labels to ids and ``neighbor_ids``
-    holds each vertex's sorted neighbour ids. ``adjacency`` and ``edge_keys``
-    are label views and ``upper_ids`` holds each edge once; all three are
-    built on first use. Equality is labelled equality: same vertex set and
-    same edge set; no isomorphism testing is attempted.
+    holds each vertex's sorted neighbour ids, the one copy of the edges. The
+    label view ``adjacency`` and ``upper_ids`` (each edge once) are built on
+    first use. Equality is labelled, with no isomorphism test: the same vertex
+    and edge sets, over ids when both list one vertex order, else over ``adjacency``.
     """
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Edge],
@@ -108,8 +108,9 @@ class Graph:
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return (set(self.vertices) == set(other.vertices)
-                and self.edge_keys == other.edge_keys)
+        if self.vertices == other.vertices:
+            return self.neighbor_ids == other.neighbor_ids
+        return self.adjacency == other.adjacency
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -123,11 +124,6 @@ class Graph:
         verts = self.vertices
         return {v: frozenset(map(verts.__getitem__, nbrs))
                 for v, nbrs in zip(verts, self.neighbor_ids)}
-
-    @cached_property
-    def edge_keys(self) -> frozenset:
-        """Edges as unordered frozenset pairs, for order-free comparison."""
-        return frozenset(map(frozenset, self.edges()))
 
     @property
     def edge_count(self) -> int:

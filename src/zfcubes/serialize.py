@@ -27,8 +27,8 @@ Both writers work over vertex ids: the edges come from
 :func:`~zfcubes.graphs.twisted_rows`, the one twisted-edge rule. Every writer
 refuses arcs whose host lists other vertices or another order, before any
 output; so does :func:`to_dot` an arc off an edge or of an opposite pair,
-which DOT cannot write. The JSON writers check and order the other entries
-in one place.
+and a label with a quote or a line break, which DOT cannot write. The JSON
+writers check and order the other entries in one place.
 :func:`json_document_chunks` streams the JSON text in chunks, which the CLI
 writes as they come, so the whole text of a large cube never sits in memory;
 :func:`dumps_json_document` joins them.
@@ -273,10 +273,14 @@ def to_dot(graph: Graph, arcs: ArcSet | None = None, name: str = "zfcubes") -> s
     """Render the graph in DOT, arcs as ``->`` and twisted edges in red.
 
     DOT writes an arc as the line of its edge, so an arc off the graph's edges
-    or of an opposite pair raises :func:`validate_arcset`'s first message.
+    or of an opposite pair raises :func:`validate_arcset`'s first message, and
+    a label that :func:`from_dot` cannot read back, with a quote or line break.
     """
     ids = _arc_ids(graph, arcs) or ()
     verts, nbr = graph.vertices, graph.neighbor_ids
+    if any(map("".join(verts).__contains__, _DOT_UNWRITABLE)):  # all labels at once
+        bad = next(v for v in verts if any(map(v.__contains__, _DOT_UNWRITABLE)))
+        raise ValueError(f"vertex {bad!r} holds a quote or a line break, which DOT cannot write")
     quoted = [f'"{v}"' for v in verts]
     n = len(verts)
     # the lines of arcs and twisted edges, keyed by lo * n + hi over ids
@@ -302,6 +306,7 @@ def to_dot(graph: Graph, arcs: ArcSet | None = None, name: str = "zfcubes") -> s
     return "\n".join(lines) + "\n"
 
 
+_DOT_UNWRITABLE = '"\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029'  # a quote, and where str.splitlines breaks
 _DOT_HEADER = re.compile(r'^graph\s+(\w+)\s*\{$')
 _DOT_DIMENSION = re.compile(r'^dimension="(\d+)";$')
 _DOT_VERTEX = re.compile(r'^"([^"]*)";$')

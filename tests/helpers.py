@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 
 from zfcubes import Graph
-from zfcubes.arcsets import _twisted_sequence
 
 
 def naive_closure(graph, initial, rng=None):
@@ -339,6 +338,20 @@ def _simple_cycles(graph):
                 iters.append(iter(nbr[found]))
 
 
+def reference_is_twisted(arcs, seq, cyclic):
+    """The chain-twist rule from its definition, over label pairs: step i
+    goes from seq[i] to seq[i + 1] (a cycle also closes from the last vertex
+    to the first) and is an arc only when (from, to) is in ``arcs``; a step
+    against an arc is a non-arc. True when no two consecutive steps, the last
+    and the first of a cycle included, are both non-arcs."""
+    count = len(seq) if cyclic else len(seq) - 1
+    non_arc = [(seq[i], seq[(i + 1) % len(seq)]) not in arcs for i in range(count)]
+    for i in range(count if cyclic else count - 1):
+        if non_arc[i] and non_arc[(i + 1) % count]:
+            return False
+    return True
+
+
 def reference_find_chain_twist(arcset):
     """Label-level exhaustive scan: every simple cycle from
     :func:`_simple_cycles`, forward then backward, each traversal tested
@@ -348,9 +361,9 @@ def reference_find_chain_twist(arcset):
     arcs = arcset.arcs
     for ids in _simple_cycles(arcset.host):
         cyc = [verts[i] for i in ids]
-        if _twisted_sequence(arcs, cyc, cyclic=True):
+        if reference_is_twisted(arcs, cyc, cyclic=True):
             return cyc
         rev = [cyc[0]] + cyc[:0:-1]
-        if _twisted_sequence(arcs, rev, cyclic=True):
+        if reference_is_twisted(arcs, rev, cyclic=True):
             return rev
     return None

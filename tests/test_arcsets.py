@@ -3,9 +3,10 @@ import time
 
 import pytest
 
-from helpers import (naive_closure, random_connected_graph, random_dipath_arcset,
-                     random_graph, random_oriented_arcset, reference_adjacency,
-                     reference_find_chain_twist, reference_is_forcing_arc_set,
+from helpers import (_simple_cycles, naive_closure, random_connected_graph,
+                     random_dipath_arcset, random_graph, random_oriented_arcset,
+                     reference_adjacency, reference_find_chain_twist,
+                     reference_is_forcing_arc_set, reference_is_twisted,
                      reference_walk_cycle_exists)
 from zfcubes import (ArcSet, ArcStructureError, Graph, ResourceLimitError, TwistSpec,
                      build_hypercube, build_minority_cube, build_twisted, closure,
@@ -70,6 +71,15 @@ def test_an_arcset_is_its_vertex_id_pairs():
         assert str(err.value) == "arc 'a'->'z': endpoint is not a vertex of the host"
     with pytest.raises(TypeError):
         ArcSet(host, [("b", "a"), ("a", ["c"])])
+
+
+def test_arcset_equality_across_a_host_with_reordered_vertices():
+    q3 = build_hypercube(3)
+    reordered = Graph(q3.vertices[::-1], [(v, u) for u, v in q3.edges()])
+    assert reordered == q3 and reordered.vertices != q3.vertices
+    assert ArcSet(reordered, F3_ARCS) == ArcSet(q3, F3_ARCS)
+    flipped = [("100", "000")] + F3_ARCS[1:]
+    assert ArcSet(reordered, flipped) != ArcSet(q3, F3_ARCS)
 
 
 def test_decompose_base_chains():
@@ -154,6 +164,38 @@ def test_paths_through_untouched_interior_vertices_never_twist():
             continue
         if is_chain_twist_path(arcs, path):
             assert all(v in touched for v in path[1:-1])
+
+
+def _random_simple_path(graph, rng):
+    path = [rng.choice(graph.vertices)]
+    for _ in range(rng.randint(0, 6)):
+        options = [w for w in graph.neighbors(path[-1]) if w not in path]
+        if not options:
+            break
+        path.append(rng.choice(options))
+    return path
+
+
+def test_twist_predicates_match_the_definition_in_both_directions():
+    rng = random.Random(16)
+    verdicts = {True: 0, False: 0}
+    for _ in range(60):
+        g = random_connected_graph(rng.randint(3, 8), rng, p=0.5)
+        arc_list = random_oriented_arcset(g, rng, p=rng.choice((0.2, 0.35, 0.5)))
+        arcs, arc_pairs = ArcSet(g, arc_list), set(arc_list)
+        cycles = [[g.vertices[i] for i in ids] for ids in _simple_cycles(g)]
+        for cyc in rng.sample(cycles, min(len(cycles), 10)):
+            for seq in (cyc, cyc[::-1]):
+                expected = reference_is_twisted(arc_pairs, seq, cyclic=True)
+                assert is_chain_twist(arcs, seq) is expected, (seq, arc_list)
+                verdicts[expected] += 1
+        for _ in range(10):
+            path = _random_simple_path(g, rng)
+            for seq in (path, path[::-1]):
+                expected = reference_is_twisted(arc_pairs, seq, cyclic=False)
+                assert is_chain_twist_path(arcs, seq) is expected, (seq, arc_list)
+                verdicts[expected] += 1
+    assert min(verdicts.values()) > 300, verdicts
 
 
 def test_find_chain_twist_examples():

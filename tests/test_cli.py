@@ -4,6 +4,7 @@ import json
 import os
 import random
 import resource
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -214,6 +215,30 @@ def test_a_dot_export_of_faulty_arcs_writes_nothing(capsys, tmp_path):
     assert code == 0 and json.loads(out)["arcs"] == doc["arcs"]
 
 
+def test_a_dot_export_of_unreadable_labels_writes_nothing(capsys, tmp_path):
+    for label in ('a"b', "a\nb"):
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps({"vertices": [label, "c"], "edges": [[label, "c"]]}))
+        code, out, manifest = run_cli(capsys, "export", "--dot", "--input", str(path))
+        assert (code, out, manifest["error_type"]) == (2, "", "ValueError"), label
+        code, out, _ = run_cli(capsys, "export", "--input", str(path))
+        assert code == 0 and json.loads(out)["vertices"] == [label, "c"]
+
+
+def test_a_reader_that_closes_early_ends_the_run_with_exit_two_and_a_manifest():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    with subprocess.Popen([sys.executable, "-m", "zfcubes.cli", "build", "minority", "-n", "12"],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(10) == b'{\n  "dimen'  # the document is far longer than a pipe holds
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2, err
+    assert "Traceback" not in err and "Exception ignored" not in err
+    manifest = json.loads(err.splitlines()[-1])
+    assert (manifest["outcome"], manifest["error_type"]) == ("error", "BrokenPipeError")
+
+
 def test_verify_arcs_reports_a_loop_arc_once(capsys, tmp_path):
     path = tmp_path / "loop.json"
     path.write_text('{"vertices":["0","1"],"edges":[["0","1"]],"arcs":[["1","1"]]}')
@@ -351,6 +376,63 @@ def test_usage_error_exits_two(capsys):
     captured = capsys.readouterr()
     manifest = json.loads(captured.err.strip().splitlines()[-1])
     assert manifest["outcome"] == "error"
+
+
+def test_help_writes_an_ok_manifest(capsys):
+    for argv in (["--help"], ["build", "--help"]):
+        code, out, manifest = run_cli(capsys, *argv)
+        assert code == 0 and out.startswith("usage: zfcubes")
+        assert manifest["outcome"] == "ok" and "error_type" not in manifest
+        assert manifest["command"] == argv[0]
+
+
+def test_entrypoint_exits_with_the_run_code(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "q2.json"
+    path.write_text(dumps_json_document(graphs.build_hypercube(2)))
+    for argv, expected in ((["build", "hypercube", "-n", "2"], 0),
+                           (["verify", "set", "--input", str(path), "--set", "00"], 1),
+                           (["build", "minority", "-n", "2"], 2)):
+        monkeypatch.setattr(sys, "argv", ["zfcubes", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.entrypoint()
+        assert exc.value.code == expected, argv
+        assert json.loads(capsys.readouterr().err.splitlines()[-1])["outcome"] == (
+            "ok", "fail", "error")[expected]
+
+
+def _workflow_step_script(workflow: Path, step: str) -> str:
+    """The body of a step's ``run: |`` block: the lines after it that are
+    blank or indented as deeply as its first line, with that indent removed."""
+    lines = workflow.read_text().splitlines()
+    start = lines.index(f"      - name: {step}")
+    first = next(i for i in range(start, len(lines)) if lines[i].strip() == "run: |") + 1
+    indent = len(lines[first]) - len(lines[first].lstrip())
+    body = []
+    for line in lines[first:]:
+        if line.strip() and not line.startswith(" " * indent):
+            break
+        body.append(line[indent:])
+    return "\n".join(body) + "\n"
+
+
+def test_the_ci_shell_smoke_step_passes(tmp_path):
+    script = _workflow_step_script(
+        Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml",
+        "Shell pipeline smoke")
+    assert "zfcubes build minority -n 12 | head -c 1" in script
+    bin_dir, runner_temp = tmp_path / "bin", tmp_path / "runner"
+    bin_dir.mkdir()
+    runner_temp.mkdir()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    shim = bin_dir / "zfcubes"  # stands in for the installed console script
+    shim.write_text(f"#!/bin/sh\nPYTHONPATH={shlex.quote(src)} "
+                    f'exec {shlex.quote(sys.executable)} -m zfcubes.cli "$@"\n')
+    shim.chmod(0o755)
+    env = dict(os.environ, RUNNER_TEMP=str(runner_temp),
+               PATH=f"{bin_dir}{os.pathsep}{os.environ['PATH']}")
+    run = subprocess.run(["bash", "-c", script], env=env, capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr[-2000:]
 
 
 def test_build_writes_the_document_to_output_file(capsys, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (reference_adjacency, reference_is_connected,
+from helpers import (random_graph, reference_adjacency, reference_is_connected,
                      reference_twisted_cube)
 from zfcubes import (Graph, MatchingError, ResourceLimitError, TwistSpec,
                      bitstrings, build_hypercube, build_twisted, cartesian_product,
@@ -173,12 +173,51 @@ def test_equality_is_labelled():
     assert a != Graph("abc", [("b", "c")])
 
 
-def test_repr_and_edge_count_leave_edge_keys_unbuilt():
+def test_equality_over_one_vertex_order_builds_no_label_view():
+    a, b = build_hypercube(8), build_hypercube(8)
+    c = build_twisted(TwistSpec.random(8, random.Random(8)))
+    assert a == b and b == a and a != c and not a != b
+    for g in (a, b, c):
+        assert not {"adjacency", "edge_keys"} & g.__dict__.keys()
+
+
+def _label_sets_equal(g, h):
+    """Labelled equality from its definition: the same vertex set and the
+    same set of unordered edges."""
+    return (set(g.vertices) == set(h.vertices)
+            and set(map(frozenset, g.edges())) == set(map(frozenset, h.edges())))
+
+
+def test_equality_matches_the_label_set_definition():
+    rng = random.Random(16)
+    outcomes = {True: 0, False: 0}
+    for _ in range(100):
+        g = random_graph(rng.randint(1, 9), rng, p=rng.random())
+        verts, edges = list(g.vertices), g.edges()
+        shuffled = rng.sample(verts, len(verts))
+        reversed_edges = rng.sample([(v, u) for u, v in edges], len(edges))
+        cases = [(Graph(shuffled, reversed_edges), True), (Graph(verts, reversed_edges), True)]
+        if len(verts) > 1:
+            u, v = rng.sample(verts, 2)
+            toggled = set(map(frozenset, edges)) ^ {frozenset((u, v))}
+            cases += [(Graph(order, map(tuple, toggled)), False) for order in (verts, shuffled)]
+        x, fresh = rng.choice(verts), len(verts)  # renamed to a label not in g
+        rename = {x: fresh}.get
+        cases.append((Graph([rename(w, w) for w in shuffled],
+                            [(rename(p, p), rename(q, q)) for p, q in edges]), False))
+        for h, equal in cases:
+            assert _label_sets_equal(g, h) is equal
+            assert (g == h) is (h == g) is equal and (g != h) is not equal
+            outcomes[equal] += 1
+    assert min(outcomes.values()) > 150, outcomes
+
+
+def test_repr_and_edge_count_leave_adjacency_unbuilt():
     g = build_twisted(TwistSpec.random(6, random.Random(3)))
-    assert "edge_keys" not in repr(g) and "edge_keys" not in g.__dict__
+    assert "adjacency" not in repr(g) and "adjacency" not in g.__dict__
     assert g.edge_count == len(g.edges()) == 192
-    assert "edge_keys" not in g.__dict__
-    assert len(g.edge_keys) == g.edge_count
+    assert "adjacency" not in g.__dict__
+    assert sum(map(len, g.adjacency.values())) == 2 * g.edge_count
 
 
 def test_edges_are_in_canonical_order():
@@ -233,8 +272,9 @@ def _check_against_oracle(g, verts, edges):
     assert g.edges() == sorted(((u, v) for u in verts for v in adjacency[u]
                                 if pos[u] < pos[v]),
                                key=lambda e: (pos[e[0]], pos[e[1]]))
-    assert g.edge_keys == frozenset(frozenset((u, v)) for u, v in edges)
-    assert g.edge_count == len(g.edge_keys)
+    edge_set = frozenset(map(frozenset, g.edges()))
+    assert edge_set == frozenset(frozenset((u, v)) for u, v in edges)
+    assert g.edge_count == len(edge_set)
     assert g.upper_ids == [[b for b in row if b > a] for a, row in enumerate(g.neighbor_ids)]
     for v in verts:
         assert g.degree(v) == len(adjacency[v])

@@ -263,7 +263,7 @@ def test_dot_statements_in_any_order():
     doc = from_dot(text)
     assert doc.graph.dimension == 2
     assert doc.graph.vertices == ("00", "01", "10", "11")
-    assert doc.graph.edge_keys == frozenset(map(frozenset, [
+    assert frozenset(map(frozenset, doc.graph.edges())) == frozenset(map(frozenset, [
         ("00", "01"), ("10", "00"), ("01", "11"), ("11", "10")]))
     assert doc.arcs.arcs == {("10", "00"), ("01", "11")}
     for lineno, bad in ((2, '"00" -> ;'), (4, 'dimension=2;'), (5, '"0" "1";')):
@@ -362,6 +362,20 @@ def test_to_dot_refuses_faulty_arcs_before_any_output():
     with pytest.raises(ValueError, match="'00'-'11' is not an edge of the host"):
         to_dot(q2, ArcSet(k4, [("00", "11")]))
     assert '"00" -> "11"' in to_dot(k4, ArcSet(k4, [("00", "11")]))
+
+
+def test_to_dot_refuses_labels_it_cannot_read_back():
+    # a quote ends a quoted label; from_dot reads the text line by line
+    for bad in ('a"b', *(f"a{c}b" for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")):
+        g = Graph([bad, "c"], [(bad, "c")])
+        with pytest.raises(ValueError) as err:
+            to_dot(g)
+        assert str(err.value) == (
+            f"vertex {bad!r} holds a quote or a line break, which DOT cannot write")
+        assert from_json_document(dumps_json_document(g)).graph == g  # JSON carries it
+    odd = ["a b", "x\ty", "\u00e9", "\\", "{}", "--", "->", ";", "", " lead"]
+    g = Graph(odd, list(zip(odd, odd[1:])))
+    assert from_dot(to_dot(g)).graph == g
 
 
 def test_loader_refusals_are_located():
