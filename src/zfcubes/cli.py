@@ -10,12 +10,18 @@ stderr. It carries the process's peak resident set size as ``peak_rss_mb``
 and, for ``solve``, the ``engine`` it ran and the work counts of its
 ``SolveResult``. Stdout carries only the requested payload and is
 byte-identical across identical invocations.
+
+Each command runs with the cyclic garbage collector paused, and ``main``
+restores the caller's setting on every way out, an escaping exception too.
+A command's data holds no reference cycles and is freed by reference
+counting, so collections during a command would only rescan it.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import hashlib
 import json
 import os
@@ -167,9 +173,9 @@ def cmd_verify(args) -> int:
             initial = doc.initial_set
         else:
             raise DocumentError("no initial set: supply --set or a 'set' key in the document")
-        trace = closure(graph, initial)
-        unforced = len(graph) - len(trace.derived)
-        print(f"initial {len(set(initial))}, derived {len(trace.derived)}/{len(graph)}, "
+        derived = len(closure(graph, initial).derived)  # built anew on every read
+        unforced = len(graph) - derived
+        print(f"initial {len(set(initial))}, derived {derived}/{len(graph)}, "
               f"{unforced} unforced")
         if unforced:
             print("FAIL: not a zero forcing set")
@@ -288,7 +294,9 @@ def _add_verify_options(sub_parser) -> None:
     sub_parser.add_argument("--input", required=True,
                             help="graph document (JSON or DOT), '-' for stdin")
     sub_parser.add_argument("--set", default=None,
-                            help="comma-separated initial vertices (mode 'set')")
+                            help="comma-separated initial vertices (mode 'set'); a "
+                                 "label holding a comma cannot be named here, so put "
+                                 "that set under the document's 'set' key")
     sub_parser.add_argument("--method", choices=["auto", "exhaustive", "walk"],
                             default="auto", help="twist detector (mode 'twist')")
     sub_parser.set_defaults(handler="cmd_verify")
@@ -309,6 +317,9 @@ def main(argv=None) -> int:
         _write_manifest("ok" if code == 0 else "error", started)
         return code
     handler_started = time.perf_counter()
+    # the cyclic collector pauses for the command (module docstring)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         code = globals()[args.handler](args)
         sys.stdout.flush()  # so that a closed pipe is met here, by every command
@@ -320,6 +331,9 @@ def main(argv=None) -> int:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         _manifest["error_type"] = type(exc).__name__
         code = 2
+    finally:  # also when the except block or an uncaught exception leaves
+        if collecting:
+            gc.enable()
     # compute: the handler's time outside loading and emitting
     phases = _manifest["phase_secs"]
     phases["compute"] = max(0.0, time.perf_counter() - handler_started

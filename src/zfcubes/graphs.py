@@ -371,9 +371,10 @@ def twisted_rows(graph: Graph) -> list[list[int]]:
     if not all(isinstance(v, str) for v in verts):
         raise ValueError("twisted edges are defined for bit-string labelled graphs")
     lengths = [-1 if v.strip("01") else len(v) for v in verts]  # -1: not bits
-    ids = [vertex_id(v) if n >= 0 else 0 for v, n in zip(verts, lengths)]
-    return [[b for b in row if lengths[b] == lengths[a] >= 0 and (y := ids[a] ^ ids[b]) & (y - 1)]
-            for a, row in enumerate(graph.upper_ids)]
+    ids = [int(v, 2) if n > 0 else 0 for v, n in zip(verts, lengths)]
+    # the id test first: it rejects the standard matching edges, most of them
+    return [[b for b in row if (y := ia ^ ids[b]) & (y - 1) and lengths[b] == la >= 0]
+            for ia, la, row in zip(ids, lengths, graph.upper_ids)]
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:

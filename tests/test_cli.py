@@ -1,3 +1,4 @@
+import gc
 import importlib
 import io
 import json
@@ -461,6 +462,46 @@ def test_trace_bindings_resolve(monkeypatch):
         assert hasattr(importlib.import_module(module_name), attr), (module_name, attr)
 
 
+def test_a_command_runs_with_the_cyclic_collector_paused(capsys, monkeypatch):
+    seen = []
+
+    def handler(args):
+        seen.append(gc.isenabled())
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_build", handler)
+    assert gc.isenabled()
+    assert main(["build", "hypercube", "-n", "2"]) == 0
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_every_way_out_of_main_leaves_the_collector_as_it_found_it(
+        capsys, monkeypatch, tmp_path, enabled):
+    path = tmp_path / "q2.json"
+    path.write_text(dumps_json_document(graphs.build_hypercube(2)))
+
+    def handler(args):
+        raise RuntimeError("escapes main")
+
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv, expected in ((["build", "hypercube", "-n", "2"], 0),
+                               (["verify", "set", "--input", str(path), "--set", "00"], 1),
+                               (["verify", "set", "--input", str(tmp_path / "none.json")], 2),
+                               (["build", "nonsense", "-n", "2"], 2),
+                               (["--help"], 0)):
+            assert main(argv) == expected, argv
+            assert gc.isenabled() is enabled, argv
+        monkeypatch.setattr(cli, "cmd_build", handler)
+        with pytest.raises(RuntimeError, match="escapes main"):
+            main(["build", "hypercube", "-n", "2"])
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("error", [RecursionError, MemoryError, KeyboardInterrupt])
 def test_interpreter_errors_exit_two_with_manifest(capsys, monkeypatch, error):
     def handler(args):
@@ -548,7 +589,6 @@ def test_label_views_stay_unbuilt(capsys, monkeypatch, tmp_path):
                  ["verify", "set"], ["export", "--dot"]):
         assert main([*argv, "--input", str(path)]) == 0, argv
         assert "adjacency" not in loaded[-1].graph.__dict__, argv
-        assert "edge_keys" not in loaded[-1].graph.__dict__, argv
     assert len(loaded) == 4
 
 
