@@ -32,11 +32,15 @@ from .graphs import Graph, cartesian_product
 
 Arc = tuple
 
-# Exhaustive cycle enumeration is exponential. On twist-free force records of
-# 100 random twisted 4-cubes (16 vertices), where it meets every simple cycle,
-# it took a median of 66 ms and at most 161 ms (2 vCPUs, Python 3.11.7). Past
-# 16 vertices callers must opt into the walk-based detector.
+# Exhaustive cycle enumeration is exponential. It met every simple cycle of
+# twist-free force records of 100 random twisted 4-cubes (16 vertices, 32
+# edges) in a median of 66 ms, at most 161 ms, and of 200 random connected
+# 16-vertex, 32-edge hosts with one arc in at most 103 ms. Dense hosts leave
+# that regime: K_n with one arc took 1.2 s at n=10, and `verify twist` 11 s at
+# n=11 (2 vCPUs, Python 3.11.7). Past 16 vertices callers must opt into the
+# walk detector; the CLI's auto takes exhaustive only within both limits.
 EXHAUSTIVE_VERTEX_LIMIT = 16
+EXHAUSTIVE_EDGE_LIMIT = 32
 
 
 class ArcSet:

@@ -11,6 +11,11 @@ and, for ``solve``, the ``engine`` it ran and the work counts of its
 ``SolveResult``. Stdout carries only the requested payload and is
 byte-identical across identical invocations.
 
+A file and stdin (``-``) are read alike: as bytes, hashed into the manifest's
+``inputs``, and decoded as UTF-8 with bad bytes replaced. ``export --dot`` is
+the one DOT switch. ``verify twist --method auto`` scans exhaustively only
+within both of ``arcsets``' ``EXHAUSTIVE_*_LIMIT`` bounds, and walks otherwise.
+
 Each command runs with the cyclic garbage collector paused, and ``main``
 restores the caller's setting on every way out, an escaping exception too.
 A command's data holds no reference cycles and is freed by reference
@@ -30,8 +35,8 @@ import sys
 import time
 
 from . import __version__
-from .arcsets import EXHAUSTIVE_VERTEX_LIMIT, decompose, find_chain_twist, \
-    is_forcing_arc_set, validate_arcset
+from .arcsets import EXHAUSTIVE_EDGE_LIMIT, EXHAUSTIVE_VERTEX_LIMIT, decompose, \
+    find_chain_twist, is_forcing_arc_set, validate_arcset
 from .errors import ArcStructureError, DocumentError, MatchingError, \
     ResourceLimitError
 from .forcing import closure
@@ -48,17 +53,16 @@ _manifest: dict = {}
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        data = sys.stdin.read()
-        _manifest.setdefault("inputs", {})["<stdin>"] = hashlib.sha256(
-            data.encode()).hexdigest()
-        return data
     try:
-        with open(path, "rb") as handle:
-            raw = handle.read()
+        if path == "-":
+            raw = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as handle:
+                raw = handle.read()
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc.strerror}") from exc
-    _manifest.setdefault("inputs", {})[path] = hashlib.sha256(raw).hexdigest()
+    _manifest.setdefault("inputs", {})["<stdin>" if path == "-" else path] = \
+        hashlib.sha256(raw).hexdigest()
     return raw.decode("utf-8", errors="replace")
 
 
@@ -127,39 +131,31 @@ def _level_perm(level: int, entry) -> list[int]:
         raise DocumentError("each level must be 'identity' or an override table",
                             location=f"levels[{level - 1}]")
     position = {a: i for i, a in enumerate(bitstrings(level - 1))}
-    # one bulk check; only a failing table is walked, to name the bad string
-    values = entry.values()
-    if not (position.keys() >= entry.keys() and set(map(type, values)) <= {str}
-            and position.keys() >= set(values)):
-        for key, value in entry.items():
-            if key not in position or not isinstance(value, str) or value not in position:
-                bad = value if key in position else key
-                raise DocumentError(f"{bad!r} is not a {level - 1}-bit string",
-                                    location=f"levels[{level - 1}]")
     for key, value in entry.items():
+        if key not in position or not isinstance(value, str) or value not in position:
+            bad = value if key in position else key
+            raise DocumentError(f"{bad!r} is not a {level - 1}-bit string",
+                                location=f"levels[{level - 1}]")
         perm[position[key]] = position[value]
     return perm
 
 
 def cmd_build(args) -> int:
-    if args.kind == "hypercube":
-        if args.n is None:
-            raise DocumentError("build hypercube requires -n")
-        graph = build_hypercube(args.n)
-        _emit(lambda: json_document_chunks(graph), args.output)
-    elif args.kind == "minority":
-        if args.n is None:
-            raise DocumentError("build minority requires -n")
-        cube = build_minority_cube(args.n)
-        extras = {}
-        if cube.bridge_arc is not None:
-            extras["bridge_arc"] = list(cube.bridge_arc)
-        _emit(lambda: json_document_chunks(cube.graph, cube.arcs, extras=extras), args.output)
-    else:  # twisted-from-spec
+    arcs, extras = None, {}
+    if args.kind == "twisted-from-spec":
         if args.spec_file is None:
             raise DocumentError("build twisted-from-spec requires --spec-file")
         graph = build_twisted(_load(_parse_twist_spec_file, args.spec_file))
-        _emit(lambda: json_document_chunks(graph), args.output)
+    elif args.n is None:
+        raise DocumentError(f"build {args.kind} requires -n")
+    elif args.kind == "hypercube":
+        graph = build_hypercube(args.n)
+    else:  # minority
+        cube = build_minority_cube(args.n)
+        graph, arcs = cube.graph, cube.arcs
+        if cube.bridge_arc is not None:
+            extras["bridge_arc"] = list(cube.bridge_arc)
+    _emit(lambda: json_document_chunks(graph, arcs, extras=extras), args.output)
     return 0
 
 
@@ -206,7 +202,8 @@ def cmd_verify(args) -> int:
     # mode == "twist"
     method = args.method
     if method == "auto":
-        method = "exhaustive" if len(graph) <= EXHAUSTIVE_VERTEX_LIMIT else "walk"
+        small = len(graph) <= EXHAUSTIVE_VERTEX_LIMIT and graph.edge_count <= EXHAUSTIVE_EDGE_LIMIT
+        method = "exhaustive" if small else "walk"
     witness = find_chain_twist(doc.arcs, method=method)
     if witness is None:
         print(f"no chain twist found (method={method})")
@@ -238,8 +235,7 @@ def cmd_solve(args) -> int:
 
 def cmd_export(args) -> int:
     doc = _load(_parse_document, args.input)
-    fmt = "dot" if args.dot else args.format
-    if fmt == "dot":
+    if args.dot:
         _emit(lambda: [to_dot(doc.graph, doc.arcs)], args.output)
     else:
         _emit(lambda: json_document_chunks(doc.graph, doc.arcs, doc.initial_set,
@@ -283,8 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     export = sub.add_parser("export", help="re-emit a document as JSON or DOT")
     export.add_argument("--input", required=True)
-    export.add_argument("--format", choices=["json", "dot"], default="json")
-    export.add_argument("--dot", action="store_true", help="shorthand for --format dot")
+    export.add_argument("--dot", action="store_true", help="write DOT instead of JSON")
     export.add_argument("--output", default=None)
     export.set_defaults(handler="cmd_export")
     return parser

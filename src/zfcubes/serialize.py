@@ -269,7 +269,7 @@ def from_json_document(data) -> GraphDocument:
     return GraphDocument(graph=graph, arcs=arcs, initial_set=initial, extras=extras)
 
 
-def to_dot(graph: Graph, arcs: ArcSet | None = None, name: str = "zfcubes") -> str:
+def to_dot(graph: Graph, arcs: ArcSet | None = None) -> str:
     """Render the graph in DOT, arcs as ``->`` and twisted edges in red.
 
     DOT writes an arc as the line of its edge, so an arc off the graph's edges
@@ -294,7 +294,7 @@ def to_dot(graph: Graph, arcs: ArcSet | None = None, name: str = "zfcubes") -> s
         for b in row:
             key = a * n + b
             special[key] = special.get(key, f"  {quoted[a]} -- {quoted[b]}") + " [color=red]"
-    lines = [f"graph {name} {{"]
+    lines = ["graph zfcubes {"]
     if graph.dimension is not None:
         lines.append(f'  dimension="{graph.dimension}";')
     lines += [f"  {q};" for q in quoted]

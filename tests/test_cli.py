@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import importlib
 import io
 import json
@@ -84,6 +85,23 @@ def test_build_twisted_from_bad_spec(capsys, tmp_path):
                                     "--spec-file", str(spec))
         assert code == 2, text
         assert manifest["inputs"]
+
+
+@pytest.mark.parametrize("table, bad", [
+    ({"xx": "01"}, "'xx'"),                # an unknown key
+    ({"00": 1}, "1"),                      # a value that is not a string
+    ({"00": "0"}, "'0'"),                  # a value that is not a 2-bit string
+    ({"00": "01", "11": [1]}, "[1]"),      # a later entry, after a good one
+])
+def test_bad_spec_table_entry_is_named(capsys, tmp_path, table, bad):
+    spec = tmp_path / "plan.json"
+    spec.write_text(json.dumps({"levels": ["identity", "identity", table]}))
+    code = main(["build", "twisted-from-spec", "--spec-file", str(spec)])
+    captured = capsys.readouterr()
+    *errors, manifest = captured.err.strip().splitlines()
+    assert code == 2 and captured.out == ""
+    assert errors == [f"error: levels[2]: {bad} is not a 2-bit string"]
+    assert json.loads(manifest)["error_type"] == "DocumentError"
 
 
 def test_spec_file_past_the_dimension_limit_is_refused_before_building(
@@ -263,6 +281,16 @@ def test_verify_twist_reports_witness(capsys, tmp_path):
     assert "chain twist: a b c d" in out
 
 
+def test_auto_walks_a_dense_host_within_the_vertex_limit(capsys, tmp_path):
+    # K10 has 10 vertices but 45 edges; scanning all its cycles takes about 1 s (2 vCPUs)
+    labels = [str(i) for i in range(10)]
+    path = tmp_path / "k10.json"
+    path.write_text(json.dumps({"vertices": labels, "arcs": [["0", "1"]],
+                                "edges": [[u, v] for u in labels for v in labels if u < v]}))
+    code, out, _ = run_cli(capsys, "verify", "twist", "--input", str(path))
+    assert (code, out) == (0, "no chain twist found (method=walk)\n")
+
+
 def test_verify_set_failure_counts_unforced(capsys, tmp_path):
     _, doc, _ = run_cli(capsys, "build", "hypercube", "-n", "3")
     path = tmp_path / "q3.json"
@@ -357,11 +385,26 @@ def test_export_json_round_trip_is_stable(capsys, tmp_path):
 
 def test_stdin_input(capsys, monkeypatch, tmp_path):
     _, doc, _ = run_cli(capsys, "build", "minority", "-n", "4")
-    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(doc.encode())))
     code, out, manifest = run_cli(capsys, "verify", "arcs", "--input", "-")
     assert code == 0
     assert "PASS" in out
     assert "<stdin>" in manifest["inputs"]
+
+
+def test_stdin_and_file_agree_on_a_non_utf8_byte(capsys, monkeypatch, tmp_path):
+    raw = json.dumps({"vertices": ["a", "b"], "edges": [["a", "b"]],
+                      "set": ["a"]}).encode().replace(b'"b"', b'"b\xff"')
+    path = tmp_path / "doc.json"
+    path.write_bytes(raw)
+    by_file = run_cli(capsys, "verify", "set", "--input", str(path))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw)))
+    by_stdin = run_cli(capsys, "verify", "set", "--input", "-")
+    assert by_file[:2] == by_stdin[:2] == (0, "initial 1, derived 2/2, 0 unforced\n"
+                                                "PASS: zero forcing set\n")
+    digest = hashlib.sha256(raw).hexdigest()
+    assert by_file[2]["inputs"] == {str(path): digest}
+    assert by_stdin[2]["inputs"] == {"<stdin>": digest}
 
 
 def test_truncated_document_exits_two(capsys, tmp_path):
