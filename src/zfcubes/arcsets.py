@@ -18,13 +18,16 @@ nodes are the arcs, when no vertex has two outgoing arcs.
 closure of a blue set (``forcing.closure``) and the execution of an arc set
 (:func:`is_forcing_arc_set`) both run it. Every function here reads
 :attr:`ArcSet.ids`, the arcs as vertex-id pairs, resolved when the set is
-made; labels are built only for results and messages.
+made, and :func:`decompose` builds its chains as id tuples. Labels are built
+only for results and messages: ``ArcSet.arcs`` and the chains, initials and
+isolated vertices of a :class:`ChainDecomposition` are label views.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Optional, Sequence
 
 from .errors import ArcStructureError, ResourceLimitError
@@ -63,6 +66,14 @@ class ArcSet:
         self.ids = tuple(sorted(pairs))
         self._arcs = self._chains = None
 
+    @classmethod
+    def _from_ids(cls, host: Graph, pairs: Iterable[tuple]) -> "ArcSet":
+        """Arc set from (tail id, head id) pairs of the host, unchecked."""
+        arcset = cls.__new__(cls)
+        arcset.host, arcset.ids = host, tuple(sorted(set(pairs)))
+        arcset._arcs = arcset._chains = None
+        return arcset
+
     @property
     def arcs(self) -> frozenset:
         """The (tail, head) label pairs, built on first read."""
@@ -97,28 +108,40 @@ class ArcSet:
 
 @dataclass(frozen=True)
 class ChainDecomposition:
-    """Partition of the host's vertices into maximal directed paths."""
+    """Partition of the host's vertices into maximal directed paths.
 
-    chains: tuple
+    ``ids`` holds each chain as a tuple of vertex ids, in order of its first
+    id; ``vertices`` is the host's vertex tuple. ``chains``, ``initials`` and
+    ``isolated`` are label views of ``ids``, built on each read.
+    """
+
+    ids: tuple
+    vertices: tuple
+
+    @property
+    def chains(self) -> tuple:
+        """Each chain as a tuple of vertex labels."""
+        verts = self.vertices
+        return tuple(tuple(map(verts.__getitem__, chain)) for chain in self.ids)
 
     @property
     def chain_count(self) -> int:
-        return len(self.chains)
+        return len(self.ids)
 
     @property
     def initials(self) -> tuple:
         """First vertex of each chain; the corresponding initial blue set."""
-        return tuple(chain[0] for chain in self.chains)
+        return tuple(self.vertices[chain[0]] for chain in self.ids)
 
     @property
     def isolated(self) -> tuple:
         """Vertices untouched by any arc (chains with zero arcs)."""
-        return tuple(chain[0] for chain in self.chains if len(chain) == 1)
+        return tuple(self.vertices[chain[0]] for chain in self.ids if len(chain) == 1)
 
     def arc_length_census(self) -> dict[int, int]:
         """How many chains contain 0, 1, 2, ... arcs."""
         census: dict[int, int] = {}
-        for chain in self.chains:
+        for chain in self.ids:
             census[len(chain) - 1] = census.get(len(chain) - 1, 0) + 1
         return census
 
@@ -146,7 +169,8 @@ def decompose(arcset: ArcSet) -> ChainDecomposition:
 
     Requires in-degree and out-degree at most one at every vertex and no
     directed cycle; the number of chains always equals |V| - |arcs|. The
-    result is computed once per arc set and then reused.
+    chains are walked over vertex ids, and the result is computed once per
+    arc set and then reused.
     """
     if arcset._chains is not None:
         return arcset._chains
@@ -164,20 +188,22 @@ def decompose(arcset: ArcSet) -> ChainDecomposition:
         out_arc[a] = b
         entered.add(b)
     chains = []
-    covered = set()
+    following = out_arc.get
     for start in range(len(verts)):
-        if start in entered:
-            continue
-        chain = [start]
-        while chain[-1] in out_arc:
-            chain.append(out_arc[chain[-1]])
-        chains.append(tuple(map(verts.__getitem__, chain)))
-        covered.update(chain)
-    if len(covered) != len(verts):
+        if start not in entered:
+            chain = [start]
+            v = following(start)
+            while v is not None:
+                chain.append(v)
+                v = following(v)
+            chains.append(tuple(chain))
+    # chains from distinct starts are disjoint; an arc on a cycle is on none
+    if sum(map(len, chains)) != len(verts):
+        covered = set().union(*chains)
         leftover = verts[next(v for v in range(len(verts)) if v not in covered)]
         raise ArcStructureError(
             f"arcs through vertex {leftover!r} form a directed cycle", vertex=leftover)
-    arcset._chains = ChainDecomposition(tuple(chains))
+    arcset._chains = ChainDecomposition(tuple(chains), verts)
     return arcset._chains
 
 
@@ -410,10 +436,20 @@ def _color_change(nbr, blue: bytearray, target: Optional[dict] = None) -> list:
     tail's one white neighbour is then its head, because only that tail can
     force the head.
     Returns the (forcer, forced) id pairs in execution order.
+
+    The white counts are filled from the rows of the smaller colour class:
+    each vertex's degree less its blue neighbours, or its white neighbours.
     """
     n = len(nbr)
-    white_count = [len(row) - sum(map(blue.__getitem__, row)) for row in nbr]
-    heap = [v for v in range(n) if blue[v] and white_count[v] == 1]  # ascending: a heap
+    blues = list(compress(range(n), blue))
+    if 2 * len(blues) <= n:
+        white_count, rows, step = list(map(len, nbr)), blues, -1
+    else:
+        white_count, rows, step = [0] * n, [v for v in range(n) if not blue[v]], 1
+    for v in rows:
+        for w in nbr[v]:
+            white_count[w] += step
+    heap = [v for v in blues if white_count[v] == 1]  # ascending: a heap
     forces = []
     while heap:
         u = heapq.heappop(heap)

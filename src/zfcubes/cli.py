@@ -39,7 +39,8 @@ from .arcsets import EXHAUSTIVE_EDGE_LIMIT, EXHAUSTIVE_VERTEX_LIMIT, decompose, 
     find_chain_twist, is_forcing_arc_set, validate_arcset
 from .errors import ArcStructureError, DocumentError, MatchingError, \
     ResourceLimitError
-from .forcing import closure
+# closure stays bound here for perfbench/spans.py; verify set counts over ids
+from .forcing import closure, derived_count
 from .graphs import TwistSpec, _check_dimension, bitstrings, build_hypercube, \
     build_twisted
 from .minority import build_minority_cube
@@ -55,6 +56,8 @@ _manifest: dict = {}
 def _read_input(path: str) -> str:
     try:
         if path == "-":
+            if sys.stdin is None:  # the process was started with stdin closed
+                raise DocumentError(f"cannot read {path}: stdin is closed")
             raw = sys.stdin.buffer.read()
         else:
             with open(path, "rb") as handle:
@@ -169,7 +172,7 @@ def cmd_verify(args) -> int:
             initial = doc.initial_set
         else:
             raise DocumentError("no initial set: supply --set or a 'set' key in the document")
-        derived = len(closure(graph, initial).derived)  # built anew on every read
+        derived = derived_count(graph, initial)
         unforced = len(graph) - derived
         print(f"initial {len(set(initial))}, derived {derived}/{len(graph)}, "
               f"{unforced} unforced")

@@ -5,7 +5,8 @@ neighbour blue. The closure iterates the rule to its fixed point; the derived
 set does not depend on the order in which forces are performed, but the
 recorded trace does, so the engine schedules deterministically (smallest
 forcer id first). The rule runs in ``arcsets._color_change``, the kernel that
-also executes forcing arc sets.
+also executes forcing arc sets. :func:`closure` builds a label trace;
+:func:`derived_count` and :func:`is_zero_forcing_set` count over vertex ids.
 """
 
 from __future__ import annotations
@@ -40,23 +41,29 @@ class ForcingTrace:
         return [[u, v] for u, v in self.forces]
 
 
+def _closure_ids(graph: Graph, initial: Iterable) -> tuple[list, list]:
+    """The initial set's ids, ascending, and the kernel's (forcer, forced) id
+    pairs from them; a label that is not a vertex is refused."""
+    idx = graph.index
+    initial_set = set(initial)
+    unknown = [v for v in initial_set if v not in idx]
+    if unknown:
+        raise ValueError(f"initial set contains unknown vertices: {sorted(map(repr, unknown))}")
+    start_ids = sorted(map(idx.__getitem__, initial_set))
+    blue = bytearray(len(graph))
+    for i in start_ids:
+        blue[i] = 1
+    return start_ids, _color_change(graph.neighbor_ids, blue)
+
+
 def closure(graph: Graph, initial: Iterable) -> ForcingTrace:
     """Run the colour change rule to its fixed point.
 
     Ties between simultaneously ready forcers go to the smallest vertex id,
     making the trace reproducible. An empty initial set derives itself.
     """
-    idx = graph.index
-    initial_set = set(initial)
-    unknown = [v for v in initial_set if v not in idx]
-    if unknown:
-        raise ValueError(f"initial set contains unknown vertices: {sorted(map(repr, unknown))}")
     verts = graph.vertices
-    blue = bytearray(len(graph))
-    start_ids = sorted(idx[v] for v in initial_set)
-    for i in start_ids:
-        blue[i] = 1
-    forces = _color_change(graph.neighbor_ids, blue)
+    start_ids, forces = _closure_ids(graph, initial)
     return ForcingTrace(graph,
                         tuple(verts[i] for i in start_ids),
                         tuple((verts[u], verts[t]) for u, t in forces))
@@ -66,9 +73,15 @@ def derived_set(graph: Graph, initial: Iterable) -> frozenset:
     return closure(graph, initial).derived
 
 
+def derived_count(graph: Graph, initial: Iterable) -> int:
+    """The size of the closure of the initial set, counted over vertex ids."""
+    start_ids, forces = _closure_ids(graph, initial)
+    return len(start_ids) + len(forces)
+
+
 def is_zero_forcing_set(graph: Graph, initial: Iterable) -> bool:
     """True iff the closure of the initial set is the whole vertex set."""
-    return len(closure(graph, initial).derived) == len(graph)
+    return derived_count(graph, initial) == len(graph)
 
 
 def replay_trace(trace: ForcingTrace) -> frozenset:

@@ -20,7 +20,8 @@ from functools import cached_property
 
 from .arcsets import ArcSet, decompose
 from .errors import ResourceLimitError
-from .graphs import Graph, TwistSpec, bitstrings, build_twisted, twisted_edges
+from .graphs import Graph, TwistSpec, bitstrings, build_twisted, twisted_edges, \
+    vertex_id
 
 MIN_DIMENSION = 3
 MAX_DIMENSION = 12
@@ -92,18 +93,22 @@ def bridge_arc_at(level: int) -> tuple[str, str]:
 
 
 def build_minority_cube(n: int) -> MinorityCube:
-    """Recursive construction: copy the arcs of both halves, add the bridge arc."""
+    """Recursive construction: copy the arcs of both halves, add the bridge arc.
+
+    It runs over vertex ids: the copy bit is appended at the right, so the
+    arc (a, b) of one level becomes (2a, 2b) and (2a + 1, 2b + 1) at the next.
+    """
     _check_dimension(n)
-    arcs: list[tuple[str, str]] = list(_BASE_ARCS)
+    arcs = [(vertex_id(u), vertex_id(v)) for u, v in _BASE_ARCS]
     for level in range(4, n + 1):
-        arcs = ([(u + "0", v + "0") for u, v in arcs]
-                + [(u + "1", v + "1") for u, v in arcs]
-                + [bridge_arc_at(level)])
+        arcs = ([(2 * a, 2 * b) for a, b in arcs]
+                + [(2 * a + 1, 2 * b + 1) for a, b in arcs]
+                + [tuple(map(vertex_id, bridge_arc_at(level)))])
     graph = build_twisted(minority_twist_spec(n))
     return MinorityCube(
         n=n,
         graph=graph,
-        arcs=ArcSet(graph, arcs),
+        arcs=ArcSet._from_ids(graph, arcs),
         bridge_arc=bridge_arc_at(n) if n >= 4 else None,
     )
 

@@ -20,6 +20,10 @@ an otherwise undirected graph) and flags twisted edges with ``color=red``.
 Both formats round-trip exactly through :func:`from_json_document` /
 :func:`from_dot`, which share one vertex rule: under a ``dimension`` every
 label is a bit string of that length, and the vertices load in id order.
+The loaders check a list in bulk, in C-level passes over all of its items,
+and walk it item by item only when a pass fails, to locate the first bad
+item; a pair list's item lengths and members are checked by the graph and
+arc set built from it.
 
 Both writers work over vertex ids: the edges come from
 :attr:`~zfcubes.graphs.Graph.upper_ids`, the arcs from
@@ -174,14 +178,27 @@ def _fail(message: str, location: str) -> None:
     raise DocumentError(message, location=location)
 
 
+# Deletes '0' and '1', so the joined labels leave text exactly when a label
+# holds another character: 0.07 ms over minority-12's labels, where
+# str.strip("01") scanned for 0.46 ms.
+_NO_BITS = str.maketrans("", "", "01")
+
+
 def _ordered_vertices(vertices: list, dimension: int | None, where) -> list:
     """The vertex rule of both formats: string labels and, under a ``dimension``,
-    bit strings of that length, then sorted into id order; ``where(i)`` locates label i."""
-    for i, v in enumerate(vertices):
-        if not isinstance(v, str):
-            _fail("vertex labels must be strings", where(i))
-        if dimension is not None and (len(v) != dimension or v.strip("01")):
-            _fail(f"vertex {v!r} is not a {dimension}-bit string", where(i))
+    bit strings of that length, then sorted into id order; ``where(i)`` locates label i.
+
+    The rule is checked in bulk passes; only a list that fails one is walked,
+    to name its first bad label.
+    """
+    if not (set(map(type, vertices)) <= {str} and (dimension is None or (
+            set(map(len, vertices)) <= {dimension}
+            and not "".join(vertices).translate(_NO_BITS)))):
+        for i, v in enumerate(vertices):
+            if not isinstance(v, str):
+                _fail("vertex labels must be strings", where(i))
+            if dimension is not None and (len(v) != dimension or v.strip("01")):
+                _fail(f"vertex {v!r} is not a {dimension}-bit string", where(i))
     return vertices if dimension is None else sorted(vertices)
 
 
@@ -217,9 +234,10 @@ def from_json_document(data) -> GraphDocument:
         _fail("duplicate vertex labels", "vertices")
 
     def pair_list(key: str, required: bool):
-        """The raw list once every item is a two-item list (None for a
-        missing optional key). Members are checked by their users, and
-        ``locate`` names the first bad pair of a refused list."""
+        """The raw list once every item is a list (None for a missing optional
+        key). Lengths and members are checked by their users: unpacking an
+        item into a pair raises on a wrong length. ``locate`` names the first
+        bad pair of a refused list."""
         raw = data.get(key)
         if raw is None:
             if required:
@@ -227,7 +245,7 @@ def from_json_document(data) -> GraphDocument:
             return None
         if not isinstance(raw, list):
             _fail(f"{key} must be a list of pairs", key)
-        if set(map(type, raw)) <= {list} and set(map(len, raw)) <= {2}:
+        if set(map(type, raw)) <= {list}:
             return raw
         locate(key)
 

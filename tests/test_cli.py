@@ -13,11 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from helpers import random_dipath_arcset
+from helpers import naive_closure, random_dipath_arcset, reference_is_forcing_arc_set
 from zfcubes import (ArcSet, GraphDocument, TwistSpec, arcsets, build_minority_cube,
-                     build_twisted, cli, dumps_json_document, find_chain_twist,
-                     from_json_document, graphs, serialize, solve_exact, to_dot,
-                     to_json_document)
+                     build_twisted, cli, closure, decompose, dumps_json_document,
+                     find_chain_twist, from_json_document, graphs, serialize,
+                     solve_exact, to_dot, to_json_document, trace_to_arcset)
 from zfcubes.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -407,6 +407,18 @@ def test_stdin_and_file_agree_on_a_non_utf8_byte(capsys, monkeypatch, tmp_path):
     assert by_stdin[2]["inputs"] == {"<stdin>": digest}
 
 
+def test_closed_stdin_is_a_read_error(capsys, monkeypatch):
+    # Python sets sys.stdin to None when the process starts with fd 0 closed
+    monkeypatch.setattr("sys.stdin", None)
+    code = main(["verify", "set", "--input", "-"])
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert (code, captured.out) == (2, "")
+    assert lines[0] == "error: cannot read -: stdin is closed"
+    manifest = json.loads(lines[-1])
+    assert (manifest["outcome"], manifest["error_type"]) == ("error", "DocumentError")
+
+
 def test_truncated_document_exits_two(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"vertices": ["00",')
@@ -464,6 +476,7 @@ def test_the_ci_shell_smoke_step_passes(tmp_path):
         Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml",
         "Shell pipeline smoke")
     assert "zfcubes build minority -n 12 | head -c 1" in script
+    assert "zfcubes verify set --input - <&-" in script
     bin_dir, runner_temp = tmp_path / "bin", tmp_path / "runner"
     bin_dir.mkdir()
     runner_temp.mkdir()
@@ -863,3 +876,56 @@ def test_an_export_of_arcs_outside_the_graph_writes_nothing(capsys, monkeypatch,
         code, out, manifest = run_cli(capsys, "export", "--input", str(path), *extra)
         assert (code, out, manifest["error_type"]) == (2, "", "ValueError"), extra
     assert not output.exists()
+
+
+def _label_chains(graph, arcs):
+    """The maximal directed paths of a dipath forest, walked over labels."""
+    following = dict(arcs)
+    entered = set(following.values())
+    chains = []
+    for v in graph.vertices:
+        if v not in entered:
+            chain = [v]
+            while chain[-1] in following:
+                chain.append(following[chain[-1]])
+            chains.append(tuple(chain))
+    return tuple(chains)
+
+
+def test_verify_matches_the_label_level_oracles(capsys, tmp_path):
+    rng = random.Random(1901)
+    outcomes = set()
+    for case in range(40):
+        graph = build_twisted(TwistSpec.random(rng.randint(4, 8), rng))
+        initial = rng.sample(graph.vertices, rng.randint(1, len(graph) // 2))
+        if case % 2:
+            arcs = random_dipath_arcset(graph, rng, keep=rng.choice((0.3, 0.6, 0.9)))
+        else:
+            arcs = list(trace_to_arcset(closure(graph, initial)))
+        arcset = ArcSet(graph, arcs)
+        chains = _label_chains(graph, arcs)
+        assert decompose(arcset).chains == chains
+        if case % 3 == 0:  # the chain-initial vertices, a zero forcing set when the arcs force
+            initial = [chain[0] for chain in chains]
+        path = tmp_path / f"case{case}.json"
+        path.write_text(dumps_json_document(graph, arcset, initial_set=initial))
+
+        on_arcs = {v for arc in arcs for v in arc}
+        forcing = reference_is_forcing_arc_set(arcset)
+        expected = (f"{len(arcs)} arcs, {len(graph) - len(arcs)} chains, "
+                    f"{len(graph) - len(on_arcs)} isolated vertices\n"
+                    + (f"PASS: forcing arc set, {len(arcs)} arcs executed\n" if forcing
+                       else "FAIL: greedy execution stalls; not a forcing arc set\n"))
+        code, out, _ = run_cli(capsys, "verify", "arcs", "--input", str(path))
+        assert (code, out) == (0 if forcing else 1, expected), case
+
+        derived = len(naive_closure(graph, initial))
+        unforced = len(graph) - derived
+        expected = (f"initial {len(set(initial))}, derived {derived}/{len(graph)}, "
+                    f"{unforced} unforced\n"
+                    + ("FAIL: not a zero forcing set\n" if unforced
+                       else "PASS: zero forcing set\n"))
+        code, out, _ = run_cli(capsys, "verify", "set", "--input", str(path))
+        assert (code, out) == (1 if unforced else 0, expected), case
+        outcomes.add((forcing, not unforced))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}

@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import naive_closure, random_graph
-from zfcubes import (ForcingTrace, build_hypercube, closure, complete_graph, decompose,
-                     is_zero_forcing_set, path_graph, replay_trace,
-                     trace_to_arcset)
+from zfcubes import (ForcingTrace, TwistSpec, build_hypercube, build_twisted, closure,
+                     complete_graph, decompose, is_zero_forcing_set, path_graph,
+                     replay_trace, trace_to_arcset)
+from zfcubes.forcing import derived_count
 
 
 def test_closure_across_one_copy_of_q2():
@@ -111,6 +112,36 @@ def test_derived_set_matches_oracle_under_any_schedule(seed, size):
     expected = closure(g, s).derived
     assert naive_closure(g, s) == expected
     assert naive_closure(g, s, rng=rng) == expected
+
+
+def _smallest_forcer_first_trace(graph, initial):
+    """Forces by full rescans: each time, the lowest-id blue vertex with one white neighbour."""
+    blue = set(initial)
+    forces = []
+    while True:
+        for u in graph.vertices:
+            whites = [w for w in graph.neighbors(u) if w not in blue]
+            if u in blue and len(whites) == 1:
+                forces.append((u, whites[0]))
+                blue.add(whites[0])
+                break
+        else:
+            return tuple(forces)
+
+
+def test_traces_and_counts_match_the_rescan_oracle_at_every_density():
+    # blue sets below and above half the vertices fill the kernel's white
+    # counts from the blue rows and from the white rows
+    rng = random.Random(1907)
+    for case in range(60):
+        g = build_twisted(TwistSpec.random(rng.randint(2, 6), rng)) if case % 2 \
+            else random_graph(rng.randint(1, 12), rng)
+        density = rng.choice((0.1, 0.3, 0.5, 0.7, 0.9))
+        s = [v for v in g.vertices if rng.random() < density]
+        trace = closure(g, s)
+        assert trace.forces == _smallest_forcer_first_trace(g, s)
+        assert derived_count(g, s) == len(trace.derived) == len(naive_closure(g, s))
+        assert is_zero_forcing_set(g, s) == (len(naive_closure(g, s)) == len(g))
 
 
 def test_replay_refuses_an_illegal_force():

@@ -405,3 +405,49 @@ def test_loaders_accept_bytes():
         assert from_bytes.arcs == from_text.arcs == cube.arcs
         assert (from_bytes.initial_set, from_bytes.extras) == (
             from_text.initial_set, from_text.extras)
+
+
+@pytest.mark.parametrize("vertices, location, message", [
+    (["00", 5, "10"], 1, "vertex labels must be strings"),
+    ([None, "01"], 0, "vertex labels must be strings"),
+    (["00", "011", "10"], 1, "vertex '011' is not a 2-bit string"),
+    (["00", "01", "1"], 2, "vertex '1' is not a 2-bit string"),
+    (["a0", "01"], 0, "vertex 'a0' is not a 2-bit string"),
+    (["00", "01", "1x"], 2, "vertex '1x' is not a 2-bit string"),
+    (["00", "0 ", "10"], 1, "vertex '0 ' is not a 2-bit string"),
+    (["00", "0a", 7], 1, "vertex '0a' is not a 2-bit string"),
+    ([7, "0a"], 0, "vertex labels must be strings"),
+])
+def test_bulk_vertex_checks_name_the_first_bad_label(vertices, location, message):
+    doc = {"dimension": 2, "vertices": vertices, "edges": []}
+    for data in (doc, json.dumps(doc)):
+        with pytest.raises(DocumentError) as err:
+            from_json_document(data)
+        where = f"vertices[{location}]"
+        assert (err.value.location, str(err.value)) == (where, f"{where}: {message}")
+    if all(isinstance(v, str) for v in vertices):  # DOT labels are always strings
+        dot = 'graph g {\n  dimension="2";\n' + "".join(f'  "{v}";\n' for v in vertices) + "}\n"
+        with pytest.raises(DocumentError) as err:
+            from_dot(dot)
+        where = f"line {location + 3}"
+        assert (err.value.location, str(err.value)) == (where, f"{where}: {message}")
+
+
+# test_malformed_pair_messages has each wrong length after good pairs; here
+# it comes first, or after an unknown vertex or a loop
+@pytest.mark.parametrize("items, location", [
+    ([["1"], ["0", "1"]], 0),
+    ([["0", "1", "1"], ["0", "2"]], 0),
+    ([["0", "2"], ["0", "1", "1"]], 0),
+    ([["0", "1"], ["1", "1"], ["0"]], 2),
+])
+@pytest.mark.parametrize("key", ["edges", "arcs"])
+def test_wrong_length_pairs_keep_their_location(key, items, location):
+    doc = {"vertices": ["0", "1"], "edges": [["0", "1"]], key: items}
+    message = ("unknown vertex in pair ['0', '2']" if items[location] == ["0", "2"]
+               else "expected a pair of vertex labels")
+    for data in (doc, json.dumps(doc)):
+        with pytest.raises(DocumentError) as err:
+            from_json_document(data)
+        where = f"{key}[{location}]"
+        assert (err.value.location, str(err.value)) == (where, f"{where}: {message}")
