@@ -364,17 +364,29 @@ def twisted_edges(graph: Graph) -> list[tuple[str, str]]:
     return [(verts[a], verts[b]) for a, row in enumerate(twisted_rows(graph)) for b in row]
 
 
-def twisted_rows(graph: Graph) -> list[list[int]]:
-    """For each vertex id ``a``, the ascending ids ``b > a`` of its twisted
-    neighbours: the rule of :func:`twisted_edges`, over vertex ids."""
+def twist_keys(graph: Graph) -> tuple[list[int], list[int]]:
+    """Each vertex's label read as a binary number, and its length (-1 for a
+    label that is not a bit string), in id order.
+
+    An edge ``(a, b)`` is twisted when ``(y := values[a] ^ values[b]) & (y - 1)``
+    and ``lengths[b] == lengths[a] >= 0``: the rule of :func:`twisted_edges`.
+    :func:`twisted_rows` applies it to list the twisted edges, and
+    :func:`~zfcubes.serialize.to_dot` inside its one pass over the edges.
+    """
     verts = graph.vertices
     if not all(isinstance(v, str) for v in verts):
         raise ValueError("twisted edges are defined for bit-string labelled graphs")
-    lengths = [-1 if v.strip("01") else len(v) for v in verts]  # -1: not bits
-    ids = [int(v, 2) if n > 0 else 0 for v, n in zip(verts, lengths)]
-    # the id test first: it rejects the standard matching edges, most of them
-    return [[b for b in row if (y := ia ^ ids[b]) & (y - 1) and lengths[b] == la >= 0]
-            for ia, la, row in zip(ids, lengths, graph.upper_ids)]
+    lengths = [-1 if v.strip("01") else len(v) for v in verts]
+    return [int(v, 2) if n > 0 else 0 for v, n in zip(verts, lengths)], lengths
+
+
+def twisted_rows(graph: Graph) -> list[list[int]]:
+    """For each vertex id ``a``, the ascending ids ``b > a`` of its twisted
+    neighbours: the rule of :func:`twist_keys`, over vertex ids."""
+    values, lengths = twist_keys(graph)
+    # the value test first: it rejects the standard matching edges, most of them
+    return [[b for b in row if (y := va ^ values[b]) & (y - 1) and lengths[b] == la >= 0]
+            for va, la, row in zip(values, lengths, graph.upper_ids)]
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:

@@ -451,3 +451,102 @@ def test_wrong_length_pairs_keep_their_location(key, items, location):
             from_json_document(data)
         where = f"{key}[{location}]"
         assert (err.value.location, str(err.value)) == (where, f"{where}: {message}")
+
+
+_AWKWARD_LABELS = ["a b", "--", "->", ";", "{}", "", "\\", "é", "ß∂", " x ", "[color=red]",
+                   "a\tb", "graph", "dimension=", "0", "1"]
+
+
+def _dot_hosts(rng):
+    """(graph, arcs) pairs: random graphs with awkward labels or bit labels,
+    with and without a dimension, and random twisted 3- to 6-cubes carrying
+    dipath forests or force records."""
+    for case in range(90):
+        if case % 3 == 2:
+            g = build_twisted(TwistSpec.random(rng.randint(3, 6), rng))
+            if case % 2:
+                arcs = trace_to_arcset(closure(g, {v for v in g.vertices if rng.random() < 0.5}))
+            else:
+                arcs = ArcSet(g, [(g.vertices[a], g.vertices[b])
+                                  for a, b in random_dipath_arcset(g.relabel(g.index.get), rng)])
+            yield g, arcs
+            continue
+        base = random_graph(rng.randint(1, len(_AWKWARD_LABELS)), rng)
+        awkward = case % 3 == 0 or case % 9 == 1  # some under a dimension, so refused
+        dimension = None if case % 3 == 0 else max(1, (len(base) - 1).bit_length())
+        labels = rng.sample(_AWKWARD_LABELS if awkward else bitstrings(dimension), len(base))
+        g = Graph([labels[i] for i in base.vertices],
+                  [(labels[u], labels[v]) for u, v in base.edges()], dimension=dimension)
+        arcs = [(labels[u], labels[v]) for u, v in random_dipath_arcset(base, rng)]
+        yield g, (ArcSet(g, arcs) if arcs and rng.random() < 0.8 else None)
+
+
+def _loaded(load, text):
+    """The document's graph and arcs, or the refusal without its location."""
+    try:
+        doc = load(text)
+    except DocumentError as exc:
+        return str(exc).split(": ", 1)[1]
+    # DOT has no line that tells an empty arc set from none
+    return (doc.graph.vertices, doc.graph.neighbor_ids, doc.graph.dimension,
+            [] if doc.arcs is None else sorted(doc.arcs.ids))
+
+
+def _perturbed(text):
+    """to_dot's text in layouts it does not write, each the same document."""
+    lines = text.split("\n")
+    variants = [text.replace("\n", "\r\n"), text.replace("\n  ", "\n\t"),
+                text.replace("\n  ", "\n   "), text.replace("{\n", "{\n\n", 1), text[:-1]]
+    edge = next((i for i, line in enumerate(lines) if '" -' in line), None)
+    if edge is not None:  # the last vertex statement after the first edge
+        variants.append("\n".join(lines[:edge - 1] + [lines[edge], lines[edge - 1]]
+                                  + lines[edge + 1:]))
+    return variants
+
+
+def test_dot_and_json_load_the_same_document():
+    # the JSON loader is the oracle for both DOT read paths
+    rng = random.Random(2020)
+    verdicts = set()
+    for g, arcs in _dot_hosts(rng):
+        text = to_dot(g, arcs)
+        expected = _loaded(from_json_document, dumps_json_document(g, arcs))
+        verdicts.add(type(expected))
+        assert serialize._split_dot(text) is not None, text  # the split path
+        assert _loaded(from_dot, text) == expected, text
+        for variant in _perturbed(text):
+            assert serialize._split_dot(variant) is None, variant  # the line loop
+            assert _loaded(from_dot, variant) == expected, variant
+    assert verdicts == {tuple, str}  # both loaded and refused documents were met
+
+
+@pytest.mark.parametrize("body, location, message", [
+    ('  "a";\n  "b";\n  "a" -- "b";\n  "a" -- "a";\n', "body", "loop at 'a'"),
+    ('  "a";\n  "b";\n  "a" -- "c";\n', "body", "edge ('a', 'c') uses an unknown vertex"),
+    ('  "a";\n  "b";\n  "a";\n  "a" -- "b";\n', "body", "duplicate vertex labels"),
+    ('  dimension="2";\n  "00";\n  "0a";\n  "00" -- "0a";\n', "line 4",
+     "vertex '0a' is not a 2-bit string"),
+])
+def test_faults_in_to_dots_layout_keep_their_messages(body, location, message):
+    text = "graph zfcubes {\n" + body + "}\n"
+    for variant in (text, text.replace("\n", "\r\n")):  # the split path, then the line loop
+        with pytest.raises(DocumentError) as err:
+            from_dot(variant)
+        assert (err.value.location, str(err.value)) == (location, f"{location}: {message}")
+    assert serialize._split_dot(text) is not None
+
+
+@pytest.mark.parametrize("statement", [
+    *(f'"0{char}1";' for char in serialize._DOT_UNWRITABLE[1:]),  # a line break in a label
+    '"0" [color=red];',
+    '"0"; "2";',
+])
+def test_statements_off_the_dialect_are_named_by_the_line_loop(statement):
+    # in to_dot's layout otherwise; str.splitlines breaks a label with a line
+    # break, so the first piece of the statement is named
+    text = f'graph zfcubes {{\n  {statement}\n  "1";\n  "0" -- "1";\n}}\n'
+    assert serialize._split_dot(text) is None
+    with pytest.raises(DocumentError) as err:
+        from_dot(text)
+    message = f"unrecognised statement {statement.splitlines()[0]!r}"
+    assert (err.value.location, str(err.value)) == ("line 2", f"line 2: {message}")
