@@ -40,10 +40,15 @@ Arc = tuple
 # edges) in a median of 66 ms, at most 161 ms, and of 200 random connected
 # 16-vertex, 32-edge hosts with one arc in at most 103 ms. Dense hosts leave
 # that regime: K_n with one arc took 1.2 s at n=10, and `verify twist` 11 s at
-# n=11 (2 vCPUs, Python 3.11.7). Past 16 vertices callers must opt into the
-# walk detector; the CLI's auto takes exhaustive only within both limits.
+# n=11 (2 vCPUs, Python 3.11.7). exhaustive_fits is the one rule: the
+# exhaustive detector refuses any other host, and `verify twist` walks it.
 EXHAUSTIVE_VERTEX_LIMIT = 16
 EXHAUSTIVE_EDGE_LIMIT = 32
+
+
+def exhaustive_fits(host: Graph) -> bool:
+    """Is the host within both measured limits of the exhaustive scan?"""
+    return len(host) <= EXHAUSTIVE_VERTEX_LIMIT and host.edge_count <= EXHAUSTIVE_EDGE_LIMIT
 
 
 class ArcSet:
@@ -400,8 +405,8 @@ def find_chain_twist(arcset: ArcSet, method: str = "exhaustive") -> Optional[lis
     depth-first scan over vertex ids, in a fixed order, and decides each
     one, forward then backward, in O(1) (see :func:`_exhaustive_twist`). The
     witness, orientation included, is the first twisted traversal in that
-    order. Cycles are exponentially many, so it refuses hosts with more
-    than ``EXHAUSTIVE_VERTEX_LIMIT`` vertices.
+    order. Cycles are exponentially many, so it refuses a host outside
+    :func:`exhaustive_fits` with :class:`ResourceLimitError`.
 
     ``method="walk"`` decides and extracts a witness in one pass over the
     graph whose nodes are the arcs (see :func:`_walk_twist`): a chain twist
@@ -415,10 +420,11 @@ def find_chain_twist(arcset: ArcSet, method: str = "exhaustive") -> Optional[lis
         raise ValueError(problems[0])
     host = arcset.host
     if method == "exhaustive":
-        if len(host) > EXHAUSTIVE_VERTEX_LIMIT:
+        if not exhaustive_fits(host):
             raise ResourceLimitError(
-                f"host has {len(host)} vertices; exhaustive search is limited to "
-                f"{EXHAUSTIVE_VERTEX_LIMIT}, pass method='walk' instead")
+                f"host has {len(host)} vertices and {host.edge_count} edges; exhaustive search "
+                f"takes at most {EXHAUSTIVE_VERTEX_LIMIT} and {EXHAUSTIVE_EDGE_LIMIT}, "
+                "pass method='walk' instead")
         return _exhaustive_twist(arcset)
     if method == "walk":
         return _walk_twist(arcset)

@@ -13,8 +13,8 @@ byte-identical across identical invocations.
 
 A file and stdin (``-``) are read alike: as bytes, hashed into the manifest's
 ``inputs``, and decoded as UTF-8 with bad bytes replaced. ``export --dot`` is
-the one DOT switch. ``verify twist --method auto`` scans exhaustively only
-within both of ``arcsets``' ``EXHAUSTIVE_*_LIMIT`` bounds, and walks otherwise.
+the one DOT switch. ``verify twist`` scans exhaustively a host that
+``arcsets.exhaustive_fits`` takes, and walks any other.
 
 Each command runs with the cyclic garbage collector paused, and ``main``
 restores the caller's setting on every way out, an escaping exception too.
@@ -35,8 +35,8 @@ import sys
 import time
 
 from . import __version__
-from .arcsets import EXHAUSTIVE_EDGE_LIMIT, EXHAUSTIVE_VERTEX_LIMIT, decompose, \
-    find_chain_twist, is_forcing_arc_set, validate_arcset
+from .arcsets import decompose, exhaustive_fits, find_chain_twist, is_forcing_arc_set, \
+    validate_arcset
 from .errors import ArcStructureError, DocumentError, MatchingError, \
     ResourceLimitError
 # closure stays bound here for perfbench/spans.py; verify set counts over ids
@@ -203,10 +203,7 @@ def cmd_verify(args) -> int:
         print(f"PASS: forcing arc set, {len(doc.arcs)} arcs executed")
         return 0
     # mode == "twist"
-    method = args.method
-    if method == "auto":
-        small = len(graph) <= EXHAUSTIVE_VERTEX_LIMIT and graph.edge_count <= EXHAUSTIVE_EDGE_LIMIT
-        method = "exhaustive" if small else "walk"
+    method = "exhaustive" if exhaustive_fits(graph) else "walk"
     witness = find_chain_twist(doc.arcs, method=method)
     if witness is None:
         print(f"no chain twist found (method={method})")
@@ -264,11 +261,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="check a set, an arc set, or twist-freeness")
     verify.add_argument("mode", choices=["set", "arcs", "twist"])
-    _add_verify_options(verify)
-
-    verify_set = sub.add_parser("verify-set", help="shorthand for 'verify set'")
-    _add_verify_options(verify_set)
-    verify_set.set_defaults(mode="set")
+    verify.add_argument("--input", required=True,
+                        help="graph document (JSON or DOT), '-' for stdin")
+    verify.add_argument("--set", default=None,
+                        help="comma-separated initial vertices (mode 'set'); a label "
+                             "holding a comma cannot be named here, so put that set "
+                             "under the document's 'set' key")
+    verify.set_defaults(handler="cmd_verify")
 
     solve = sub.add_parser("solve", help="exact zero forcing number")
     solve.add_argument("--input", required=True, help="graph document (JSON or DOT), '-' for stdin")
@@ -286,18 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
     export.add_argument("--output", default=None)
     export.set_defaults(handler="cmd_export")
     return parser
-
-
-def _add_verify_options(sub_parser) -> None:
-    sub_parser.add_argument("--input", required=True,
-                            help="graph document (JSON or DOT), '-' for stdin")
-    sub_parser.add_argument("--set", default=None,
-                            help="comma-separated initial vertices (mode 'set'); a "
-                                 "label holding a comma cannot be named here, so put "
-                                 "that set under the document's 'set' key")
-    sub_parser.add_argument("--method", choices=["auto", "exhaustive", "walk"],
-                            default="auto", help="twist detector (mode 'twist')")
-    sub_parser.set_defaults(handler="cmd_verify")
 
 
 def main(argv=None) -> int:

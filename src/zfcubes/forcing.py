@@ -36,10 +36,6 @@ class ForcingTrace:
     def derived(self) -> frozenset:
         return frozenset(self.initial).union(v for _, v in self.forces)
 
-    def as_pairs(self) -> list[list]:
-        """Forces as a plain list of pairs, ready for JSON."""
-        return [[u, v] for u, v in self.forces]
-
 
 def _closure_ids(graph: Graph, initial: Iterable) -> tuple[list, list]:
     """The initial set's ids, ascending, and the kernel's (forcer, forced) id
@@ -67,10 +63,6 @@ def closure(graph: Graph, initial: Iterable) -> ForcingTrace:
     return ForcingTrace(graph,
                         tuple(verts[i] for i in start_ids),
                         tuple((verts[u], verts[t]) for u, t in forces))
-
-
-def derived_set(graph: Graph, initial: Iterable) -> frozenset:
-    return closure(graph, initial).derived
 
 
 def derived_count(graph: Graph, initial: Iterable) -> int:

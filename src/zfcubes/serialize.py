@@ -37,11 +37,10 @@ twisted-edge rule over :func:`~zfcubes.graphs.twist_keys`, which
 :func:`to_dot` applies as it writes each edge line. Every writer
 refuses arcs whose host lists other vertices or another order, before any
 output; so does :func:`to_dot` an arc off an edge or of an opposite pair,
-and a label with a quote or a line break, which DOT cannot write. The JSON
-writers check and order the other entries in one place.
-:func:`json_document_chunks` streams the JSON text in chunks, which the CLI
-writes as they come, so the whole text of a large cube never sits in memory;
-:func:`dumps_json_document` joins them.
+and a label with a quote or a line break, which DOT cannot write. The one
+JSON writer, :func:`json_document_chunks`, streams the text in chunks, which
+the CLI writes as they come, so the whole text of a large cube never sits in
+memory; :func:`dumps_json_document` joins them.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from typing import Iterator
 
 from .arcsets import ArcSet, validate_arcset
 from .errors import DocumentError
-from .graphs import Graph, twist_keys, twisted_edges, twisted_rows
+from .graphs import Graph, twist_keys, twisted_rows
 
 _RESERVED_KEYS = ("dimension", "vertices", "edges", "arcs", "twisted_edges", "set")
 
@@ -83,35 +82,6 @@ def _arc_ids(graph: Graph, arcs: ArcSet | None) -> tuple | None:
     if arcs.host.vertices != graph.vertices:
         raise ValueError("the arcs' host does not list the graph's vertices in its order")
     return arcs.ids
-
-
-def _checked_entries(graph: Graph, arcs: ArcSet | None, initial_set,
-                     extras: dict | None) -> tuple[tuple | None, dict]:
-    """The arcs' id pairs and the entries after ``twisted_edges`` (the set in
-    id order, then the extras by key), once the labels, arcs and extras pass."""
-    ids = _arc_ids(graph, arcs)
-    tail = {}
-    if initial_set is not None:
-        tail["set"] = sorted(initial_set, key=graph.index.__getitem__)
-    for key in sorted(extras or {}):
-        if key in _RESERVED_KEYS:
-            raise ValueError(f"extra key {key!r} clashes with a document key")
-        tail[key] = extras[key]
-    return ids, tail
-
-
-def to_json_document(graph: Graph, arcs: ArcSet | None = None,
-                     initial_set=None, extras: dict | None = None) -> dict:
-    """Assemble the document dict; key order is fixed for byte-stable dumps."""
-    ids, tail = _checked_entries(graph, arcs, initial_set, extras)
-    return {
-        "dimension": graph.dimension,
-        "vertices": list(graph.vertices),
-        "edges": [[u, v] for u, v in graph.edges()],
-        "arcs": None if ids is None else [[graph.vertices[a], graph.vertices[b]] for a, b in ids],
-        "twisted_edges": [[u, v] for u, v in twisted_edges(graph)],
-        **tail,
-    }
 
 
 _PAIR_SEP = "\n    ],\n    [\n      "
@@ -145,15 +115,24 @@ def _pair_entry(key: str, enc: list, rows) -> Iterator[str]:
 
 def json_document_chunks(graph: Graph, arcs: ArcSet | None = None,
                          initial_set=None, extras: dict | None = None) -> Iterator[str]:
-    """The text of :func:`to_json_document`'s document, as an iterator of chunks.
+    """The JSON document's text in the indent-2 layout, as an iterator of chunks.
 
-    Everything is checked, and every entry but the three pair lists encoded,
-    before this returns, so a refused document raises before any chunk is
-    written. The edges, arcs and twisted edges are then written lazily over
-    vertex ids, from ``upper_ids``, :attr:`ArcSet.ids`, :func:`twisted_rows`
-    and each label encoded once, without lists of label pairs.
+    Keys come in the order of the module docstring's example (``arcs`` null
+    when absent), then the extras sorted by key. Everything is checked, and
+    every entry but the three pair lists encoded, before this returns, so a
+    refused document raises before any chunk is written. The edges, arcs and
+    twisted edges are then written lazily over vertex ids, from ``upper_ids``,
+    :attr:`ArcSet.ids`, :func:`twisted_rows` and each label encoded once,
+    without lists of label pairs.
     """
-    ids, rest = _checked_entries(graph, arcs, initial_set, extras)
+    ids = _arc_ids(graph, arcs)
+    rest = {}
+    if initial_set is not None:
+        rest["set"] = sorted(initial_set, key=graph.index.__getitem__)
+    for key in sorted(extras or {}):
+        if key in _RESERVED_KEYS:
+            raise ValueError(f"extra key {key!r} clashes with a document key")
+        rest[key] = extras[key]
     enc = list(map(encode_basestring_ascii, graph.vertices))
     head = ("{\n" + _dump_entry("dimension", graph.dimension) + ',\n  "vertices": '
             + ("[\n    " + ",\n    ".join(enc) + "\n  ]" if enc else "[]") + ",\n")
@@ -169,14 +148,14 @@ def json_document_chunks(graph: Graph, arcs: ArcSet | None = None,
 
 def dumps_json_document(graph: Graph, arcs: ArcSet | None = None,
                         initial_set=None, extras: dict | None = None) -> str:
-    """The document as text, byte-identical to ``json.dumps(doc, indent=2) + "\\n"``.
+    """The joined chunks of :func:`json_document_chunks`: ``json.dumps``'s indent-2 text.
 
     ``json.dumps`` uses its C encoder only without ``indent``; with it, every
     value goes through the pure-Python ``_iterencode``, which dominated the
-    export of large cubes. The indent-2 layout is written here directly
-    instead, by :func:`json_document_chunks`: the vertices and the three pair
-    lists are joined from labels encoded by the C ``encode_basestring_ascii``,
-    and every other entry is left to ``json.dumps``.
+    export of large cubes. The indent-2 layout is written directly instead:
+    the vertices and the three pair lists are joined from labels encoded by
+    the C ``encode_basestring_ascii``, and every other entry is left to
+    ``json.dumps``.
     """
     return "".join(json_document_chunks(graph, arcs, initial_set, extras))
 
@@ -223,6 +202,8 @@ def from_json_document(data) -> GraphDocument:
         except json.JSONDecodeError as exc:
             raise DocumentError(f"invalid JSON: {exc.msg}",
                                 location=f"line {exc.lineno} column {exc.colno}") from exc
+        except ValueError as exc:  # an integer past Python's digit limit, with no position
+            raise DocumentError(f"invalid JSON: {exc}", location="$") from exc
         if isinstance(data, dict):
             data.pop("twisted_edges", None)  # ignored; free it before the graph is built
     if not isinstance(data, dict):
@@ -362,7 +343,10 @@ def _split_dot(text: str) -> tuple | None:
         digits, start = parts[1], 3
         if not (digits.isascii() and digits.isdigit() and parts[2] == ";\n  "):
             return None
-        dimension = int(digits)
+        try:
+            dimension = int(digits)
+        except ValueError:  # past Python's digit limit: the line loop names the line
+            return None
     elif parts[0] == _DOT_HEAD:
         dimension, start = None, 1
     else:
@@ -425,7 +409,11 @@ def _dot_lines(text: str) -> tuple:
             continue
         m = _DOT_DIMENSION.match(line)
         if m:
-            dimension = int(m.group(1))
+            try:
+                dimension = int(m.group(1))
+            except ValueError as exc:  # past Python's integer digit limit
+                raise DocumentError(f"invalid dimension: {exc}",
+                                    location=f"line {lineno}") from exc
             continue
         if line:  # blank lines are skipped but keep their numbers
             raise DocumentError(f"unrecognised statement {line!r}", location=f"line {lineno}")

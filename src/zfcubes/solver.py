@@ -67,7 +67,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ResourceLimitError
-from .forcing import closure
+from .forcing import is_zero_forcing_set
 from .graphs import Graph
 
 DEFAULT_VERTEX_LIMIT = 32
@@ -116,7 +116,8 @@ def upper_bound(graph: Graph) -> tuple[int, tuple]:
 
     The vertices whose final bit is 0 form one of the two glued copies; each
     of them has exactly one neighbour on the other side, so the copy forces
-    the rest. Returns (size, witness); the witness is verified by closure.
+    the rest. Returns (size, witness); the witness is checked to force, by
+    :func:`~zfcubes.forcing.is_zero_forcing_set` over vertex ids.
     """
     n = graph.dimension
     if not isinstance(n, int) or n < 1:
@@ -125,7 +126,7 @@ def upper_bound(graph: Graph) -> tuple[int, tuple]:
                                        for v in graph.vertices):
         raise ValueError("graph does not look like it was built from a twist plan")
     half = tuple(v for v in graph.vertices if v[-1] == "0")
-    if len(closure(graph, half).derived) != len(graph):
+    if not is_zero_forcing_set(graph, half):
         raise ValueError("copy-0 half does not force; not a twisted hypercube")
     return len(half), half
 

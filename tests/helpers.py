@@ -138,6 +138,35 @@ def reference_twisted_cube(spec):
     return verts, edges
 
 
+def reference_document(graph, arcs=None, initial_set=None, extras=None):
+    """The JSON document as a dict, from the format alone: the keys
+    ``dimension``, ``vertices``, ``edges``, ``arcs`` (None without an arc
+    set) and ``twisted_edges`` in that order, then ``set`` and the extras
+    sorted by key. Vertices keep ``graph.vertices``' order; an edge is
+    written from its earlier end, and pairs are sorted by their ends'
+    positions. A twisted edge joins two bit strings of one length that differ
+    in more than one position. Reads only ``vertices``, ``dimension``,
+    ``neighbors()`` and ``arcs.arcs``."""
+    verts = list(graph.vertices)
+    position = {v: i for i, v in enumerate(verts)}
+    edges = [[u, v] for u in verts for v in sorted(graph.neighbors(u), key=position.get)
+             if position[v] > position[u]]
+
+    def twisted(u, v):
+        return (len(u) == len(v) and set(u + v) <= {"0", "1"}
+                and sum(a != b for a, b in zip(u, v)) > 1)
+
+    doc = {"dimension": graph.dimension, "vertices": verts, "edges": edges,
+           "arcs": None if arcs is None else sorted(
+               ([u, v] for u, v in arcs.arcs), key=lambda pair: [*map(position.get, pair)]),
+           "twisted_edges": [edge for edge in edges if twisted(*edge)]}
+    if initial_set is not None:
+        doc["set"] = sorted(initial_set, key=position.get)
+    for key in sorted(extras or {}):
+        doc[key] = extras[key]
+    return doc
+
+
 def random_graph(size, rng, p=0.4):
     """Labelled graph on vertices 0..size-1 with independent edges."""
     edges = [(i, j) for i in range(size) for j in range(i + 1, size)

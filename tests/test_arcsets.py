@@ -212,6 +212,29 @@ def test_find_chain_twist_guard_and_walk_optin():
     assert find_chain_twist(cube.arcs, method="walk") is None
 
 
+def test_exhaustive_takes_only_hosts_within_both_limits():
+    # K10 within the vertex limit took about 1.3 s to scan; K16 would take days
+    for size in (10, 16):
+        arcs = ArcSet(complete_graph(size), [(0, 1)])
+        started = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            find_chain_twist(arcs, method="exhaustive")
+        assert time.perf_counter() - started < 0.1, size
+        assert find_chain_twist(arcs, method="walk") is None
+    # 16 vertices and 32 edges are scanned; one edge more is refused
+    rng = random.Random(16)
+    pairs = [(u, v) for u in range(16) for v in range(u + 1, 16)]
+    for _ in range(5):
+        edges = rng.sample(pairs, 33)
+        host = Graph(range(16), edges[:32])
+        arcs = ArcSet(host, random_dipath_arcset(host, rng))
+        exhaustive = find_chain_twist(arcs, method="exhaustive")
+        assert (exhaustive is None) == (find_chain_twist(arcs, method="walk") is None)
+        assert exhaustive is None or is_chain_twist(arcs, exhaustive)
+        with pytest.raises(ResourceLimitError):
+            find_chain_twist(ArcSet(Graph(range(16), edges), arcs.ids), method="exhaustive")
+
+
 def test_walk_witnesses_are_real_chain_twists():
     # Dipath forests on random graphs and on random twisted cubes up to n=7;
     # arbitrary orientations (out-degree above one) on both kinds of host.

@@ -13,14 +13,16 @@ from pathlib import Path
 
 import pytest
 
-from helpers import naive_closure, random_dipath_arcset, reference_is_forcing_arc_set
+from helpers import naive_closure, random_dipath_arcset, reference_document, \
+    reference_is_forcing_arc_set
 from zfcubes import (ArcSet, GraphDocument, TwistSpec, arcsets, build_minority_cube,
                      build_twisted, cli, closure, decompose, dumps_json_document,
                      find_chain_twist, from_json_document, graphs, serialize,
-                     solve_exact, to_dot, to_json_document, trace_to_arcset)
+                     solve_exact, to_dot, trace_to_arcset)
 from zfcubes.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+README = PERFBENCH.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -305,14 +307,34 @@ def test_verify_set_failure_counts_unforced(capsys, tmp_path):
     assert "PASS" in out
 
 
-def test_verify_set_alias(capsys, tmp_path):
-    _, doc, _ = run_cli(capsys, "build", "hypercube", "-n", "2")
-    path = tmp_path / "q2.json"
-    path.write_text(doc)
-    code, out, _ = run_cli(capsys, "verify-set", "--input", str(path),
-                           "--set", "00,01")
-    assert code == 0
-    assert "PASS" in out
+def test_removed_spellings_are_usage_errors(capsys, tmp_path):
+    cube = build_minority_cube(4)
+    path = tmp_path / "m4.json"
+    path.write_text(dumps_json_document(cube.graph, cube.arcs))
+    for argv in (["verify-set", "--input", str(path), "--set", "0000"],
+                 ["verify", "twist", "--method", "walk", "--input", str(path)]):
+        code, out, manifest = run_cli(capsys, *argv)
+        assert (code, out, manifest["outcome"]) == (2, "", "error"), argv
+
+
+def test_readme_command_lines_parse():
+    block = README.read_text().split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        line = line.split("#", 1)[0].strip()  # drop the comment
+        if line.startswith("zfcubes "):
+            commands.append(line)
+        elif line:  # a continuation of the command above
+            commands[-1] += " " + line
+    placeholders = {"K": "3", "T": "1.5", "N": "1000"}  # optional parts are bracketed
+    for command in commands:
+        argv = shlex.split(command.replace("[", "").replace("]", ""))[1:]
+        try:
+            cli._build_parser().parse_args([placeholders.get(arg, arg) for arg in argv])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")
+    assert len(commands) >= 8
 
 
 def test_verify_set_requires_payload(capsys, tmp_path):
@@ -641,7 +663,7 @@ def test_label_views_stay_unbuilt(capsys, monkeypatch, tmp_path):
         return loaded[-1]
 
     monkeypatch.setattr(cli, "from_json_document", load)
-    for argv in (["verify", "arcs"], ["verify", "twist", "--method", "walk"],
+    for argv in (["verify", "arcs"], ["verify", "twist"],
                  ["verify", "set"], ["export", "--dot"]):
         assert main([*argv, "--input", str(path)]) == 0, argv
         assert "adjacency" not in loaded[-1].graph.__dict__, argv
@@ -730,12 +752,12 @@ def test_streamed_output_is_the_document(capsys, monkeypatch, tmp_path):
                                       extras={"note": ["x", 1]}))
     loaded = from_json_document(m7.read_text())
     expected = {
-        ("build", "hypercube", "-n", "6"): to_json_document(graphs.build_hypercube(6)),
-        ("build", "minority", "-n", "7"): to_json_document(
+        ("build", "hypercube", "-n", "6"): reference_document(graphs.build_hypercube(6)),
+        ("build", "minority", "-n", "7"): reference_document(
             cube.graph, cube.arcs, extras={"bridge_arc": list(cube.bridge_arc)}),
         ("build", "twisted-from-spec", "--spec-file", str(plan)):
-            to_json_document(build_twisted(spec)),
-        ("export", "--input", str(m7)): to_json_document(
+            reference_document(build_twisted(spec)),
+        ("export", "--input", str(m7)): reference_document(
             loaded.graph, loaded.arcs, loaded.initial_set, loaded.extras),
     }
     expected = {argv: json.dumps(doc, indent=2) + "\n" for argv, doc in expected.items()}
@@ -770,7 +792,7 @@ def test_a_failed_export_writes_nothing(capsys, monkeypatch, tmp_path):
 @pytest.mark.parametrize("argv, busy", [
     (["build", "minority", "-n", "8"], ("compute", "emit")),
     (["verify", "arcs", "--input", "{m8}"], ("load", "compute")),
-    (["verify-set", "--input", "{m8}"], ("load", "compute")),
+    (["verify", "set", "--input", "{m8}"], ("load", "compute")),
     (["solve", "--input", "{q3}"], ("load", "compute", "emit")),
     (["export", "--dot", "--input", "{m8}"], ("load", "emit")),
     (["export", "--input", "{m8}"], ("load", "emit")),

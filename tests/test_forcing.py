@@ -58,8 +58,8 @@ def test_trace_arcs_cross_the_split():
     assert len(arcs) == 4
     for u, v in arcs:
         assert u[0] == "0" and v[0] == "1" and u[1:] == v[1:]
-    assert trace.as_pairs() == [["000", "100"], ["001", "101"],
-                                ["010", "110"], ["011", "111"]]
+    assert trace.forces == (("000", "100"), ("001", "101"),
+                            ("010", "110"), ("011", "111"))
 
 
 def test_empty_trace_gives_empty_arcset():

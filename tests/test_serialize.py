@@ -1,14 +1,15 @@
 import json
 import random
+import sys
 
 import pytest
 
-from helpers import random_dipath_arcset, random_graph
+from helpers import random_dipath_arcset, random_graph, reference_document
 from zfcubes import (ArcSet, DocumentError, Graph, TwistSpec, bitstrings, build_hypercube,
                      build_minority_cube, build_twisted, closure,
                      dumps_json_document, from_dot, from_json_document,
                      json_document_chunks, serialize, solve_exact, to_dot,
-                     to_json_document, trace_to_arcset, validate_arcset)
+                     trace_to_arcset, validate_arcset)
 
 
 def test_json_round_trip_plain_cube():
@@ -63,9 +64,48 @@ def test_schema_violations_carry_locations():
     assert err.value.location == "set[0]"
 
 
+def test_reference_document_is_the_format():
+    q2 = build_hypercube(2)
+    arcs = ArcSet(q2, [("10", "11"), ("00", "01")])
+    doc = reference_document(q2, arcs, ["11", "00"], {"note": [1, "x"], "bridge_arc": None})
+    assert list(doc.items()) == [
+        ("dimension", 2),
+        ("vertices", ["00", "01", "10", "11"]),
+        ("edges", [["00", "01"], ["00", "10"], ["01", "11"], ["10", "11"]]),
+        ("arcs", [["00", "01"], ["10", "11"]]),
+        ("twisted_edges", []),
+        ("set", ["00", "11"]),
+        ("bridge_arc", None),
+        ("note", [1, "x"]),
+    ]
+    assert reference_document(q2)["arcs"] is None
+    twisted = build_twisted(TwistSpec.from_level_matchings([{"": ""}, {"0": "1", "1": "0"}]))
+    assert reference_document(twisted)["twisted_edges"] == [["00", "11"], ["01", "10"]]
+
+
+@pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no integer digit limit")
+def test_a_json_integer_past_the_digit_limit_is_a_document_error():
+    long = "1" * (sys.get_int_max_str_digits() + 1)  # json.loads cannot read it as an int
+    for text in (f'{{"dimension": {long}, "vertices": ["0"], "edges": []}}',
+                 f'{{"vertices": ["0"], "edges": [], "note": [{long}]}}'):
+        with pytest.raises(DocumentError) as err:
+            from_json_document(text)
+        assert err.value.location == "$"
+
+
+@pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no integer digit limit")
+def test_a_dot_dimension_past_the_digit_limit_names_its_line():
+    long = "1" * (sys.get_int_max_str_digits() + 1)
+    for end in ("\n", "\r\n"):  # to_dot's layout, then one for the line loop alone
+        text = end.join(["graph zfcubes {", f'  dimension="{long}";', '  "0";', "}", ""])
+        with pytest.raises(DocumentError) as err:
+            from_dot(text)
+        assert err.value.location == "line 2"
+
+
 def test_twisted_edges_are_emitted():
     cube = build_minority_cube(4)
-    doc = to_json_document(cube.graph, cube.arcs)
+    doc = json.loads(dumps_json_document(cube.graph, cube.arcs))
     assert doc["twisted_edges"] == [["0100", "1011"], ["0101", "1010"]]
     assert len(doc["arcs"]) == 9
 
@@ -148,7 +188,7 @@ def test_json_and_dot_share_the_vertex_rule():
 def test_non_string_labels_refuse_to_export():
     from zfcubes import path_graph
     with pytest.raises(ValueError):
-        to_json_document(path_graph(3))
+        json_document_chunks(path_graph(3))
     with pytest.raises(ValueError):
         to_dot(path_graph(3))
 
@@ -211,7 +251,7 @@ def test_dump_is_byte_identical_to_json_dumps():
         initial = s if rng.random() < 0.5 else None
         extras = {rng.choice(["bridge_arc", "note", "ä", "z", "m"]): _random_extra(rng)
                   for _ in range(rng.randint(0, 4))}
-        doc = to_json_document(g, arcs, initial, extras)
+        doc = reference_document(g, arcs, initial, extras)
         assert (dumps_json_document(g, arcs, initial, extras)
                 == json.dumps(doc, indent=2) + "\n")
 
@@ -226,7 +266,7 @@ def test_twisted_pairs_on_mixed_labels():
         expected = [[u, v] for u, v in g.edges()
                     if bits(u) and bits(v) and len(u) == len(v)
                     and sum(a != b for a, b in zip(u, v)) > 1]
-        doc = to_json_document(g)
+        doc = reference_document(g)
         assert doc["twisted_edges"] == expected
         red = [line for line in to_dot(g).splitlines() if "color=red" in line]
         assert red == [f'  "{u}" -- "{v}" [color=red];' for u, v in expected]
@@ -325,7 +365,7 @@ def test_chunks_are_validated_before_the_first_one(monkeypatch):
     with pytest.raises(TypeError):  # not JSON; raised before a chunk exists
         json_document_chunks(build_hypercube(2), extras={"note": {1, 2}})
     cube = build_minority_cube(6)
-    expected = json.dumps(to_json_document(cube.graph, cube.arcs), indent=2) + "\n"
+    expected = json.dumps(reference_document(cube.graph, cube.arcs), indent=2) + "\n"
     for rows in (1, 5, 64, 1024):  # chunk boundaries inside and after the rows
         monkeypatch.setattr(serialize, "_ROWS_PER_CHUNK", rows)
         chunks = list(json_document_chunks(cube.graph, cube.arcs))
@@ -339,12 +379,12 @@ def test_writers_refuse_arcs_outside_the_graph_before_any_output():
         ArcSet(q2, [("00", "01"), ("11", "zz")])  # no writer can be given such arcs
     # ids are positions in the arcs' host, so its vertex order must be the graph's
     reordered = ArcSet(Graph(q2.vertices[::-1], q2.edges(), dimension=2), [("00", "01")])
-    writers = (json_document_chunks, dumps_json_document, to_json_document, to_dot)
+    writers = (json_document_chunks, dumps_json_document, to_dot)
     for write in writers:
         with pytest.raises(ValueError, match="does not list the graph's vertices in its order"):
             write(q2, reordered)  # json_document_chunks: on the call, before a chunk
     # the same arcs on their own host are written, in host id order
-    assert to_json_document(reordered.host, reordered)["arcs"] == [["00", "01"]]
+    assert json.loads(dumps_json_document(reordered.host, reordered))["arcs"] == [["00", "01"]]
     assert '"00" -> "01"' in to_dot(reordered.host, reordered)
 
 
@@ -356,7 +396,8 @@ def test_to_dot_refuses_faulty_arcs_before_any_output():
         with pytest.raises(ValueError) as err:
             to_dot(q2, arcs)
         assert str(err.value) == validate_arcset(arcs)[0]
-        assert len(to_json_document(q2, arcs)["arcs"]) == len(pairs)  # JSON keeps every arc
+        # JSON keeps every arc
+        assert len(json.loads(dumps_json_document(q2, arcs))["arcs"]) == len(pairs)
     # an arc on an edge of its host but not of the graph written is off an edge too
     k4 = Graph(q2.vertices, [(u, v) for u in q2.vertices for v in q2.vertices if u < v])
     with pytest.raises(ValueError, match="'00'-'11' is not an edge of the host"):
