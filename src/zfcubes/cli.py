@@ -46,7 +46,7 @@ from .graphs import TwistSpec, _check_dimension, bitstrings, build_hypercube, \
 from .minority import build_minority_cube
 # dumps_json_document stays bound here for perfbench/spans.py; commands emit
 # through json_document_chunks
-from .serialize import dumps_json_document, from_dot, from_json_document, \
+from .serialize import _loads_json, dumps_json_document, from_dot, from_json_document, \
     json_document_chunks, to_dot
 from .solver import solve_exact
 
@@ -112,11 +112,7 @@ def _emit(render, output: str | None) -> None:
 def _parse_twist_spec_file(text: str) -> TwistSpec:
     """Spec file: {"levels": [matching, ...]} where matching is "identity" or
     a partial override table applied on top of the standard matching."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"invalid JSON: {exc.msg}",
-                            location=f"line {exc.lineno} column {exc.colno}") from exc
+    data = _loads_json(text)
     if not isinstance(data, dict) or not isinstance(data.get("levels"), list):
         raise DocumentError("spec file must be an object with a 'levels' list")
     _check_dimension(len(data["levels"]))  # before any level's permutation is built

@@ -20,8 +20,11 @@ from .errors import MatchingError, ResourceLimitError
 Vertex = Hashable
 Edge = tuple
 
-# build_hypercube(18) peaks at 170 MB in 1.8 s (2-vCPU VM, Python 3.11), and
-# both grow about 2.1x per dimension: about 0.7 GB and 8 s at dimension 20.
+# One dimension cap for every cube builder. At 20 (2 vCPUs, Python 3.11.7, the
+# collector paused) build_hypercube took 3.7 s and 697 MB, build_minority_cube
+# 6.8 s and 905 MB, and a fully random plan 35 s and 1.4 GB to draw and build;
+# loading a document of dimension 18 or more takes about 1 GB. At the product
+# limit, Q8 x Q8 and Q1 x Q15 took 0.4-0.6 s and 151-166 MB.
 CONSTRUCTION_DIMENSION_LIMIT = 20
 PRODUCT_SIZE_LIMIT = 1 << 16
 

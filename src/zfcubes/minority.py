@@ -19,12 +19,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .arcsets import ArcSet, decompose
-from .errors import ResourceLimitError
 from .graphs import Graph, TwistSpec, bitstrings, build_twisted, twisted_edges, \
-    vertex_id
+    vertex_id, _check_dimension as _check_construction_limit
 
 MIN_DIMENSION = 3
-MAX_DIMENSION = 12
 
 _BASE_ARCS = (("000", "100"), ("100", "110"), ("001", "101"), ("101", "111"))
 
@@ -61,9 +59,7 @@ class MinorityCube:
 def _check_dimension(n: int) -> None:
     if n < MIN_DIMENSION:
         raise ValueError(f"minority cubes start at dimension {MIN_DIMENSION}, got {n}")
-    if n > MAX_DIMENSION:
-        raise ResourceLimitError(
-            f"dimension {n} exceeds the minority-cube limit {MAX_DIMENSION}")
+    _check_construction_limit(n)
 
 
 def minority_twist_spec(n: int) -> TwistSpec:
@@ -98,13 +94,12 @@ def build_minority_cube(n: int) -> MinorityCube:
     It runs over vertex ids: the copy bit is appended at the right, so the
     arc (a, b) of one level becomes (2a, 2b) and (2a + 1, 2b + 1) at the next.
     """
-    _check_dimension(n)
+    graph = build_twisted(minority_twist_spec(n))  # checks the dimension first
     arcs = [(vertex_id(u), vertex_id(v)) for u, v in _BASE_ARCS]
     for level in range(4, n + 1):
         arcs = ([(2 * a, 2 * b) for a, b in arcs]
                 + [(2 * a + 1, 2 * b + 1) for a, b in arcs]
                 + [tuple(map(vertex_id, bridge_arc_at(level)))])
-    graph = build_twisted(minority_twist_spec(n))
     return MinorityCube(
         n=n,
         graph=graph,

@@ -164,6 +164,16 @@ def _fail(message: str, location: str) -> None:
     raise DocumentError(message, location=location)
 
 
+def _loads_json(text: str):
+    """``json.loads`` of a document or a twist plan, each error a located DocumentError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        _fail(f"invalid JSON: {exc.msg}", f"line {exc.lineno} column {exc.colno}")
+    except ValueError as exc:  # an integer past Python's digit limit, with no position
+        _fail(f"invalid JSON: {exc}", "$")
+
+
 # Deletes '0' and '1', so the joined labels leave text exactly when a label
 # holds another character: 0.07 ms over minority-12's labels, where
 # str.strip("01") scanned for 0.46 ms.
@@ -197,13 +207,7 @@ def from_json_document(data) -> GraphDocument:
     if isinstance(data, (bytes, bytearray)):
         data = data.decode("utf-8", errors="replace")
     if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise DocumentError(f"invalid JSON: {exc.msg}",
-                                location=f"line {exc.lineno} column {exc.colno}") from exc
-        except ValueError as exc:  # an integer past Python's digit limit, with no position
-            raise DocumentError(f"invalid JSON: {exc}", location="$") from exc
+        data = _loads_json(data)
         if isinstance(data, dict):
             data.pop("twisted_edges", None)  # ignored; free it before the graph is built
     if not isinstance(data, dict):

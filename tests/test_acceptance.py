@@ -2,7 +2,8 @@
 
 Each test prints a single pass/fail line (run with ``pytest -s`` to see them
 on a green suite). Runtime limits are asserted where a criterion states one.
-The extended dimension-5 solve is opt-in through ZFCUBES_EXTENDED=1.
+The extended dimension-5 solve, and the minority checks from dimension 13
+to the construction limit, are opt-in through ZFCUBES_EXTENDED=1.
 """
 
 import os
@@ -13,13 +14,14 @@ import pytest
 
 from helpers import all_dipath_arcsets, all_graphs, naive_closure, \
     random_connected_graph, random_dipath_arcset, random_graph
-from zfcubes import (ArcSet, build_hypercube, build_minority_cube,
+from zfcubes import (ArcSet, build_closed_form, build_hypercube, build_minority_cube,
                      cartesian_product, closed_form_arc_pairs, closure,
                      decompose, dumps_json_document, find_chain_twist,
                      from_json_document, is_forcing_arc_set,
                      is_zero_forcing_set, isolated_vertices,
                      minority_zero_forcing_set, product_arcset, solve_exact,
                      trace_to_arcset)
+from zfcubes.graphs import CONSTRUCTION_DIMENSION_LIMIT
 from zfcubes.minority import classify
 
 DIMENSIONS = range(3, 13)
@@ -123,6 +125,34 @@ def test_criterion_4_extended_dimension_five():
                "exact", 13, MINORITY_FIVE_WITNESS, 462_370_105),
            f"{result.status}, z={result.z}, bounds {list(result.bounds)}, "
            f"{result.subsets_tested} subsets, {result.elapsed:.0f}s")
+
+
+@pytest.mark.skipif(not os.environ.get("ZFCUBES_EXTENDED"),
+                    reason="minority cubes past dimension 12 are opt-in "
+                           "(set ZFCUBES_EXTENDED=1)")
+def test_criterion_1_2_extended_to_the_construction_limit():
+    # 13-20 took 61 s together and peaked at 920 MB (dimension 20) on 2 vCPUs
+    # under Python 3.11.7
+    failures = []
+    for n in range(DIMENSIONS.stop, CONSTRUCTION_DIMENSION_LIMIT + 1):
+        cube = build_minority_cube(n)
+        if len(cube.arcs) != 2 ** (n - 1) + 2 ** (n - 3) - 1:
+            failures.append(f"n={n} arc count {len(cube.arcs)}")
+        if not is_forcing_arc_set(cube.arcs):
+            failures.append(f"n={n} arcs do not execute")
+        if find_chain_twist(cube.arcs, method="walk") is not None:
+            failures.append(f"n={n} walk finds a twist")
+        initials = cube.zero_forcing_set()
+        if (len(initials) != 2 ** (n - 1) - 2 ** (n - 3) + 1
+                or initials != minority_zero_forcing_set(n)
+                or not is_zero_forcing_set(cube.graph, initials)):
+            failures.append(f"n={n} chain-initial set")
+        if build_closed_form(n, cube.graph).ids != cube.arcs.ids:
+            failures.append(f"n={n} closed form differs")
+        del cube, initials  # one cube held at a time
+    report(f"criteria 1-2 extended (minority n={DIMENSIONS.stop}.."
+           f"{CONSTRUCTION_DIMENSION_LIMIT}: counts, execution, walk, set, closed form)",
+           not failures, failures[0] if failures else "0 failures")
 
 
 def test_criterion_5_twist_freeness_matches_greedy_execution():

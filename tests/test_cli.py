@@ -884,6 +884,18 @@ def test_cli_refusals(capsys, tmp_path, argv, spec, message):
     assert captured.err.splitlines()[0] == f"error: {message}"
 
 
+@pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no integer digit limit")
+def test_a_plan_integer_past_the_digit_limit_is_a_located_document_error(capsys, tmp_path):
+    path = tmp_path / "plan.json"
+    long = "1" * (sys.get_int_max_str_digits() + 1)  # json.loads cannot read it as an int
+    path.write_text(f'{{"levels": ["identity", {{"0": {long}}}]}}')
+    code = main(["build", "twisted-from-spec", "--spec-file", str(path)])
+    captured = capsys.readouterr()
+    manifest = json.loads(captured.err.splitlines()[-1])
+    assert (code, captured.out, manifest["error_type"]) == (2, "", "DocumentError")
+    assert captured.err.startswith("error: $: invalid JSON: ")
+
+
 def test_an_export_of_arcs_outside_the_graph_writes_nothing(capsys, monkeypatch, tmp_path):
     path = tmp_path / "q2.json"
     path.write_text(dumps_json_document(graphs.build_hypercube(2)))

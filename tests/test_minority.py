@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -9,13 +10,31 @@ from zfcubes import (MatchingError, ResourceLimitError, TwistSpec,
                      identity_matching, is_chain_twist_path, is_forcing_arc_set,
                      is_zero_forcing_set, isolated_vertices, minority_twist_spec,
                      minority_zero_forcing_set, transposition_matching, twisted_edges)
+from zfcubes.cli import main
+from zfcubes.graphs import CONSTRUCTION_DIMENSION_LIMIT
 
 
 def test_dimension_guards():
     with pytest.raises(ValueError):
         build_minority_cube(2)
     with pytest.raises(ResourceLimitError):
-        build_minority_cube(13)
+        build_minority_cube(CONSTRUCTION_DIMENSION_LIMIT + 1)
+
+
+def test_every_minority_entry_point_takes_the_construction_limit(capsys):
+    n = CONSTRUCTION_DIMENSION_LIMIT + 1
+    message = f"dimension {n} exceeds the construction limit {CONSTRUCTION_DIMENSION_LIMIT}"
+    for entry in (build_minority_cube, minority_twist_spec, closed_form_arc_pairs,
+                  isolated_vertices, minority_zero_forcing_set):
+        with pytest.raises(ResourceLimitError, match=f"^{message}$"):
+            entry(n)
+    assert main(["build", "minority", "-n", str(n)]) == 2
+    captured = capsys.readouterr()
+    manifest = json.loads(captured.err.splitlines()[-1])
+    assert (captured.out, manifest["error_type"]) == ("", "ResourceLimitError")
+    assert captured.err.splitlines()[0] == f"error: {message}"
+    # a dimension past 12 builds, with the paper's arc count
+    assert len(build_minority_cube(13).arcs) == 2 ** 12 + 2 ** 10 - 1
 
 
 def test_base_dimension_is_the_plain_cube():
