@@ -271,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--budget-secs", type=float, default=None)
     solve.add_argument("--budget-subsets", type=int, default=None)
     solve.add_argument("--no-prune", action="store_true",
-                       help="closure-test every subset (literal exhaustion)")
+                       help="decide every subset of each size tried, most in bulk by proven rules")
     solve.add_argument("--output", default=None)
     solve.set_defaults(handler="cmd_solve")
 

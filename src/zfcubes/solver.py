@@ -24,21 +24,25 @@ P | {x} closed and not full, so such a subset is decided without a closure:
 the leaves under a prefix are counted in bulk and only its triggers are
 closure-tested.
 
-The same rule decides whole subtrees. An *r-trigger* of a closed set P is a
-white vertex with at most r white neighbours, or a white neighbour of a
-blue vertex with at most r + 1 white neighbours; the triggers above are the
-1-triggers. If P != V is closed and R is a set of at most r vertices, none
-of them an r-trigger of P, then P | R is closed and not full. Proof: if a
-blue b in P had one white neighbour left, then b had c >= 2 of them in P,
-because P is closed, and R took c - 1 <= r of them, so they are r-triggers.
-If a w in R had one white neighbour left, it had at most 1 + (r - 1) in P.
-If P | R were full, R would hold every white vertex, each with at most
-r - 1 white neighbours. So at a prefix with r >= 2 slots left and next
-candidate x, the empty prefix (closed, with r = k) included, the white
-vertices from x on are scanned from the top down, stopping at the first
-r-trigger w: no subset whose next vertex lies past w can force, and those
-subsets are counted with one binomial. The scan is skipped when r is at
-least the maximum degree, since every white vertex is then an r-trigger.
+The same rule decides whole subtrees. Let P != V be closed. For a vertex
+u, let S_u be its white neighbours but the lowest, with u itself if u is
+white. When 1 <= |S_u| <= r, the least vertex of S_u is u's *threshold*,
+and every vertex at or below some threshold is an *r-trigger* of P. If R
+is a set of at most r vertices, all past the highest r-trigger, then P | R
+is closed and not full. Proof: let y be R's least vertex. A force by u in
+P | R needs R to hold all of u's white neighbours but one, and u if u is
+white; a blue u has at least two, because P is closed. Those are |S_u|
+vertices at or past y, and leaving out the lowest neighbour gives the
+highest least vertex, so y is at most u's threshold. If P | R were full,
+S_w would lie in R for the least white vertex w, with the same result. So
+at a prefix with r >= 2 slots left and next candidate x, the empty prefix
+(closed, with r = k) included, the highest r-trigger is found by scanning
+the white vertices from x on from the top down with their blue neighbours,
+since a threshold is at most the vertex's top white neighbour, or the
+vertex if it is white. No subset whose next vertex lies past it can force,
+and those subsets are counted with one binomial. The scan is skipped when
+r is at least the maximum degree, where it was measured to cost more than
+it saves.
 The wavefront runs one level of this enumeration at k = z to return the
 same witness: the lexicographically least forcing set of size z.
 
@@ -265,26 +269,37 @@ def _triggers(masks, blue: int, full: int, scan: int) -> int:
     return trig
 
 
-def _top_trigger(masks, blue: int, full: int, scan: int, r: int) -> int:
-    # The highest r-trigger of the closed set ``blue`` among the vertices of
-    # ``scan``, or -1: a white vertex with at most r white neighbours, or a
-    # white neighbour of a blue vertex with at most r + 1. Adding at most r
-    # vertices, none of them an r-trigger, leaves ``blue`` closed and not
-    # full (module docstring). The scan runs from the top down.
+def _last_next(masks, blue: int, full: int, x: int, r: int) -> int:
+    # For x < n - r: the highest r-trigger of the closed set ``blue`` != full,
+    # within [x - 1, n - r]; the scan of the module docstring, S_u as bits.
+    last = len(masks) - r
     white = full ^ blue
-    scan &= white
+    scan = white >> x << x
+    best = x - 1
     while scan:
         w = scan.bit_length() - 1
+        if w <= best:
+            break
         scan ^= 1 << w
-        if (masks[w] & white).bit_count() <= r:
-            return w
+        wn = masks[w] & white
+        if wn.bit_count() <= r:
+            wn = wn & (wn - 1) | 1 << w
+            t = (wn & -wn).bit_length() - 1
+            if t > best:
+                best = t
         nb = masks[w] & blue
         while nb:
             low = nb & -nb
             nb ^= low
-            if (masks[low.bit_length() - 1] & white).bit_count() <= r + 1:
-                return w
-    return -1
+            wn = masks[low.bit_length() - 1] & white
+            if wn.bit_count() <= r + 1:
+                wn &= wn - 1
+                t = (wn & -wn).bit_length() - 1
+                if t > best:
+                    best = t
+        if best >= last:
+            return last
+    return best
 
 
 def _search_level(masks, full: int, k: int, degree: int,
@@ -296,8 +311,9 @@ def _search_level(masks, full: int, k: int, degree: int,
     is the maximum degree. Only the leaves whose last vertex is a trigger of
     the prefix's closure are closed; the others are counted in bulk. A
     prefix with r >= 2 slots left, the empty one included, descends only
-    into next vertices up to its highest r-trigger; the subsets past it are
-    counted with one binomial.
+    into next vertices up to its highest r-trigger (module docstring); the
+    subsets past it are counted with one binomial. ``deadline`` is read
+    after each bulk count, as ``solve_exact`` states.
 
     The default engine's witness level passes ``stats``, a dict of counters.
     Then a nonempty prefix with r >= 2 slots left whose first next vertex
@@ -322,13 +338,11 @@ def _search_level(masks, full: int, k: int, degree: int,
         r = k - d
         if r >= 2:
             last = n - r
-            # scan only where a cut is possible: more than one subset left,
-            # r below the maximum degree (else every white vertex is an
-            # r-trigger) and a closure that is not full; with no r-trigger
-            # from x on, every subset is past the end
+            # scan only where a cut is possible and pays: more than one subset
+            # left, r below the maximum degree and a closure that is not full;
+            # with no r-trigger from x on, every subset is past the end
             if x < last and r < degree and blue != full:
-                last = min(last, max(x - 1, _top_trigger(
-                    masks, blue, full, full >> x << x, r)))
+                last = _last_next(masks, blue, full, x, r)
             ends[d] = last
         while True:
             slots = k - d
@@ -427,8 +441,9 @@ def solve_exact(graph: Graph, *, max_k: Optional[int] = None,
     subset whose last vertex is no trigger of the closed prefix (module
     docstring) is counted without a closure; the others are closure-tested.
     A prefix with r >= 2 slots left, the empty one included, is extended
-    only by next vertices up to its highest r-trigger; the subsets past it
-    cannot force and are counted at once.
+    only by next vertices up to its highest r-trigger. Past it no vertex
+    can get all but one of its white neighbours chosen, and itself if white,
+    so the subsets there cannot force and are counted at once.
 
     Budgets turn the result inconclusive instead of wrong; ``bounds`` then
     reports a proven lower bound and the best known upper bound.

@@ -312,44 +312,62 @@ def _mask(graph, labels):
 
 
 def test_r_triggers_are_sound_and_match_their_definition():
-    # Lemma: if P is closed and no vertex of R is an r-trigger of P, with
-    # |R| <= r, then P | R is closed and not the full set.
+    # Lemma: at a closed prefix P != V with r >= 2 slots left, no subset
+    # whose next vertex y lies past every vertex's threshold can force: for
+    # every R of at most r vertices from y on, P | R is closed and not full.
     rng = random.Random(0x7A1)
+    graphs = [random_graph(rng.randint(2, 10), rng, p=rng.uniform(0.1, 0.7))
+              for _ in range(600)]
+    # isolated and degree-1 vertices: a pendant path beside K4 and a loose vertex
+    graphs += [Graph(range(8), [(0, 1), (1, 2)] + list(itertools.combinations(range(3, 7), 2)))]
+    graphs += LOW_DEGREE_GRAPHS
     checked = 0
-    for _ in range(300):
-        g = random_graph(rng.randint(2, 10), rng, p=rng.uniform(0.15, 0.7))
-        masks, full = g.neighbor_masks, (1 << len(g)) - 1
+    for g in graphs:
+        n, masks, full = len(g), g.neighbor_masks, (1 << len(g)) - 1
         degree = max(len(g.adjacency[v]) for v in g.vertices)
-        seed = rng.sample(g.vertices, rng.randint(0, len(g) // 2))
-        closed = naive_closure(g, seed)
-        if len(closed) == len(g):
+        closed = naive_closure(g, rng.sample(g.vertices, rng.randint(0, len(g) // 2)))
+        if len(closed) == n:
             continue
-        white = [v for v in g.vertices if v not in closed]
         blue = _mask(g, closed)
 
-        def white_degree(v):
-            return sum(w not in closed for w in g.adjacency[v])
+        def white_neighbours(u):
+            return sorted((g.index[w] for w in g.adjacency[u] if w not in closed),
+                          reverse=True)
 
-        for r in range(1, degree + 1):
-            expected = {w for w in white
-                        if white_degree(w) <= r
-                        or any(b in closed and white_degree(b) <= r + 1
-                               for b in g.adjacency[w])}
-            found = {w for w in white
-                     if solver._top_trigger(masks, blue, full, _mask(g, [w]), r)
-                     == g.index[w]}
-            assert found == expected, (r, sorted(closed))
-            # the top trigger of a range is the highest trigger in it
-            for low in range(len(g)):
-                in_range = [g.index[w] for w in expected if g.index[w] >= low]
-                assert solver._top_trigger(masks, blue, full, full >> low << low, r) == (
-                    max(in_range, default=-1))
-            others = [v for v in white if v not in expected]
-            for size in range(1, min(r, len(others)) + 1):
-                for rest in itertools.combinations(others, size):
-                    grown = closed | set(rest)
-                    assert naive_closure(g, grown) == grown != frozenset(g.vertices)
-                    checked += 1
+        def threshold(u):
+            # the highest next vertex from which u can still start a force: a
+            # blue u needs c - 1 of its c white neighbours chosen, a white u
+            # itself and c - 1 of them
+            wn, c = white_neighbours(u), len(white_neighbours(u))
+            if u in closed:
+                return wn[c - 2] if 2 <= c <= r + 1 else -1
+            if c <= 1:
+                return g.index[u]
+            return min(g.index[u], wn[c - 2]) if c <= r else -1
+
+        def old_top_trigger(x):
+            # the rule it replaced: the highest white vertex from x on with at
+            # most r white neighbours, or next to a blue one with at most r + 1
+            return max((g.index[w] for w in g.vertices if w not in closed
+                        and g.index[w] >= x
+                        and (len(white_neighbours(w)) <= r
+                             or any(b in closed and len(white_neighbours(b)) <= r + 1
+                                    for b in g.adjacency[w]))), default=-1)
+
+        for r in range(2, min(degree + 2, n)):
+            top = max(map(threshold, g.vertices))
+            # next vertices run up to n - r, where r vertices are left to choose
+            for x in range(n - r):
+                last = solver._last_next(masks, blue, full, x, r)
+                assert last == min(n - r, max(x - 1, top)), (r, x, sorted(closed))
+                assert last <= min(n - r, max(x - 1, old_top_trigger(x)))
+            # the subsets cut from x = 0 include those cut from any later x
+            for y in range(solver._last_next(masks, blue, full, 0, r) + 1, n - r + 1):
+                for size in range(min(r, n - y)):
+                    for rest in itertools.combinations(g.vertices[y + 1:], size):
+                        grown = closed | {g.vertices[y], *rest}
+                        assert naive_closure(g, grown) == grown != frozenset(g.vertices)
+                        checked += 1
     assert checked > 2000
 
 
@@ -357,21 +375,24 @@ def test_caps_inside_interior_bulk_counts_stop_exactly():
     # Q5 at size 5 enumerates the subsets that start at vertex 0 first. Each
     # cap lands strictly inside one interior-level bulk count among them,
     # located by hand and by logging the counts:
-    # - 302: after the 301 subsets with prefix [0, 1, 2] and fourth vertex
-    #   <= 16, the highest 2-trigger of the closure of {0, 1, 2}, the
-    #   C(15, 2) = 105 with a later fourth vertex are counted at once;
-    # - 3697 and 4059: {0, 1} is closed and its highest 3-trigger is 17
-    #   (a white neighbour of 1), so the C(14, 3) = 364 subsets whose third
-    #   vertex lies past 17 close the C(30, 3) = 4060 that start with [0, 1];
-    # - 7715: {0, 3} has no 3-trigger past 3, so all C(28, 3) = 3276 subsets
-    #   that start with [0, 3] are one count, after the 7714 before them;
+    # - 154: the closure of {0, 1, 2} has highest 2-trigger 8, the threshold
+    #   of 0 (its white neighbours 4, 8, 16 but the lowest), so after the 153
+    #   subsets with prefix [0, 1, 2] and fourth vertex <= 8, the
+    #   C(23, 2) = 253 with a later fourth vertex are counted at once;
+    # - 1461 and 4059: {0, 1} is closed and its highest 3-trigger is 5, the
+    #   threshold of 1, so the C(26, 3) = 2600 subsets whose third vertex
+    #   lies past 5 close the C(30, 3) = 4060 that start with [0, 1];
+    # - 7715: {0, 3} has no 3-trigger past 3 (1 and 2 are the thresholds of
+    #   white vertices), so all C(28, 3) = 3276 subsets that start with
+    #   [0, 3] are one count, after the 7714 before them;
     # - 30101 and 31464: {0} has highest 4-trigger 16 (its neighbour
-    #   10000), so the C(15, 4) = 1365 subsets whose second vertex lies past
-    #   16 are the last of the C(31, 4) = 31465 that start at 0.
+    #   10000, all four of whose white neighbours lie above it), so the
+    #   C(15, 4) = 1365 subsets whose second vertex lies past 16 are the
+    #   last of the C(31, 4) = 31465 that start at 0.
     q5 = build_hypercube(5)
     masks, full = q5.neighbor_masks, (1 << 32) - 1
     assert solver._search_level(masks, full, 5, 5, None, None) == (None, 201376, False)
-    for cap in (302, 3697, 4059, 7715, 30101, 31464):
+    for cap in (154, 1461, 4059, 7715, 30101, 31464):
         assert solver._search_level(masks, full, 5, 5, None, cap) == (None, cap, True)
         result = solve_exact(q5, max_k=5, budget_subsets=cap, prune=False)
         assert (result.status, result.subsets_tested, result.bounds) == (
@@ -382,11 +403,13 @@ def test_deadline_is_read_in_interior_bulk_counts():
     q5 = build_hypercube(5)
     result = solve_exact(q5, max_k=5, budget_secs=0.0, prune=False)
     assert (result.status, result.bounds) == ("inconclusive", (5, 16))
-    # A pendant vertex 0 on K8. For sizes 3 to 6 the only k-trigger of the
-    # empty prefix is 0, and [0] has no (k - 1)-trigger past 0. So the level
-    # is two interior-level counts and no leaf level is reached: the C(8, k - 1)
-    # subsets that start with 0, then the C(8, k) that start past it. The
-    # deadline is read after the first; a cap stops the second exactly.
+    # A pendant vertex 0 on K8. For sizes 3 to 6 the only threshold of the
+    # empty prefix is 0's own, so its highest k-trigger is 0, and [0], closed
+    # to {0, 1}, has no (k - 1)-trigger: 1 keeps seven white neighbours and
+    # every white vertex six. So the level is two interior-level counts and
+    # no leaf level is reached: the C(8, k - 1) subsets that start with 0,
+    # then the C(8, k) that start past it. The deadline is read after the
+    # first; a cap stops the second exactly.
     g = Graph(range(9), [(0, 1)] + list(itertools.combinations(range(1, 9), 2)))
     masks, full = g.neighbor_masks, (1 << 9) - 1
     past = time.monotonic() - 1
