@@ -6,8 +6,9 @@ search in which each move colours a vertex's closed neighbourhood except one
 vertex (that vertex is then forced) and closes the result. The first path
 that turns everything blue costs exactly the zero forcing number, and one
 lexicographic enumeration level at that size returns the lexicographically
-least witness. With prune=False the solver instead closure-tests every
-subset of every smaller size, a literal exhaustive certificate.
+least witness. With prune=False the solver instead decides every subset of
+each size tried, most in bulk by proven rules: a literal exhaustive
+certificate.
 """
 
 from zfcubes import (build_hypercube, build_minority_cube, lower_bound,

@@ -61,6 +61,13 @@ is unchanged. It waits for the first subtree because witnesses tend to lie
 on the leftmost path, where a check would be wasted. Successors of one
 bucket often share their pre-closure mask, so each wavefront memoises its
 closures per bucket and drops the memo when it moves to the next bucket.
+
+One closure serves every engine. It scans a mask of blue vertices: one with
+exactly one white neighbour forces it, and the forced vertex and its blue
+neighbours join the scan, since only their white counts changed. Its
+precondition is that no blue vertex outside the scan can force. When a set
+A joins a closed set, that holds for A and its neighbours: the wavefront
+scans them for a successor, and the enumeration for its one new vertex.
 """
 
 from __future__ import annotations
@@ -74,8 +81,12 @@ from .errors import ResourceLimitError
 from .forcing import is_zero_forcing_set
 from .graphs import Graph
 
-# Q5 (32 vertices) solved in 3.6 s; minority-6 (64) stayed inconclusive past 30 s.
+# On 2 vCPUs with Python 3.11.7, Q5 (32 vertices) solved in 1.6-1.8 s, and
+# minority-6 (64) stayed inconclusive past 30 s.
 DEFAULT_VERTEX_LIMIT = 32
+# Every solve refuses more, before its V^2/8-byte masks; at the limit,
+# minority-12 with a 1 s budget stopped after 1.03 s at a 63 MB peak.
+VERTEX_LIMIT = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -136,52 +147,19 @@ def upper_bound(graph: Graph) -> tuple[int, tuple]:
     return len(half), half
 
 
-def _close_mask(masks, blue: int, full: int) -> int:
-    # Bitmask closure: force whenever a blue vertex sees exactly one white bit.
-    # A blue vertex with at most one white neighbour leaves the scan: once it
-    # has forced it has none, and white only shrinks.
+def _close_from(masks, blue: int, scan: int, full: int) -> int:
+    # The closure of ``blue``, given that no blue vertex outside ``scan`` can
+    # force (module docstring).
     white = full ^ blue
-    active = blue
-    while True:
-        previous = blue
-        scan = active
-        while scan:
-            low = scan & -scan
-            scan ^= low
-            wn = masks[low.bit_length() - 1] & white
-            if not wn & (wn - 1):
-                active ^= low
-                if wn:
-                    blue |= wn
-                    white ^= wn
-                    active |= wn
-        if blue == previous:
-            return blue
-
-
-def _extend_closure(masks, blue: int, new_vertex: int, full: int) -> int:
-    # Re-close after adding one vertex to an already closed blue set. Only the
-    # new vertex and blue vertices adjacent to a fresh blue vertex can force,
-    # so a worklist of those suffices.
-    blue |= 1 << new_vertex
-    stack = [new_vertex]
-    affected = masks[new_vertex] & blue
-    while affected:
-        low = affected & -affected
-        affected ^= low
-        stack.append(low.bit_length() - 1)
-    while stack:
-        v = stack.pop()
-        wn = masks[v] & ~blue & full
-        if wn and not (wn & (wn - 1)):
+    scan &= blue
+    while scan:
+        low = scan & -scan
+        scan ^= low
+        wn = masks[low.bit_length() - 1] & white
+        if wn and not wn & (wn - 1):
             blue |= wn
-            w = wn.bit_length() - 1
-            stack.append(w)
-            affected = masks[w] & blue
-            while affected:
-                low = affected & -affected
-                affected ^= low
-                stack.append(low.bit_length() - 1)
+            white ^= wn
+            scan |= wn | masks[wn.bit_length() - 1] & blue
     return blue
 
 
@@ -232,7 +210,12 @@ def _wavefront(masks, full: int, start: int, limit: int, deadline: Optional[floa
                 pre = blue | added
                 succ = memo.get(pre)
                 if succ is None:
-                    succ = memo[pre] = _close_mask(masks, pre, full)
+                    seeds = added
+                    while added:
+                        low = added & -added
+                        added ^= low
+                        seeds |= masks[low.bit_length() - 1]
+                    succ = memo[pre] = _close_from(masks, pre, seeds, full)
                     closures += 1
                 if succ == full:
                     # no state at or past this cost can beat the path found
@@ -361,7 +344,7 @@ def _search_level(masks, full: int, k: int, degree: int,
                     if cap is not None and tested + y - pos >= cap:
                         return None, cap, True
                     tested += y - pos + 1
-                    if _extend_closure(masks, blue, y, full) == full:
+                    if _close_from(masks, blue | low, masks[y] | low, full) == full:
                         return chosen[1:d + 1] + [y], tested, False
                     pos = y + 1
                 if cap is not None and tested + n - pos > cap:
@@ -373,7 +356,7 @@ def _search_level(masks, full: int, k: int, degree: int,
                 blue, t = stack[d], trig[d]
                 bit = 1 << x
                 if t & bit:
-                    blue = _extend_closure(masks, blue, x, full)
+                    blue = _close_from(masks, blue | bit, masks[x] | bit, full)
                     t = _triggers(masks, blue, full, full)
                 elif not blue & bit:
                     # blue | bit stays closed; only x and its neighbours can
@@ -431,8 +414,7 @@ def solve_exact(graph: Graph, *, max_k: Optional[int] = None,
     The default engine is the wavefront over closed sets (module docstring).
     Once it has found z, one enumeration level at size z returns the
     lexicographically least witness; it skips the prefixes that a wavefront
-    from their closure shows cannot be completed. ``subsets_tested`` counts
-    one per successor state and one per subset of that level.
+    from their closure shows cannot be completed.
 
     With ``prune=False`` sizes are tried from max(1, minimum degree) upward
     and every subset of every failing size is decided, giving a literal
@@ -463,7 +445,9 @@ def solve_exact(graph: Graph, *, max_k: Optional[int] = None,
     below max(1, minimum degree). A budget that stops the witness level,
     inside a feasibility check too, leaves bounds (z, z) and no witness. A
     negative ``max_k`` or ``budget_subsets``, or a ``budget_secs`` that is
-    negative or not finite, raises ``ValueError``.
+    negative or not finite, raises ``ValueError``. Past ``VERTEX_LIMIT``
+    (4,096) vertices every solve raises ``ResourceLimitError`` at once; a 1 s
+    budget at that limit stopped minority-12 after 1.03 s at a 63 MB peak.
     """
     n = len(graph)
     if n == 0:
@@ -474,6 +458,8 @@ def solve_exact(graph: Graph, *, max_k: Optional[int] = None,
         raise ValueError(f"budget_subsets must be at least 0, not {budget_subsets}")
     if max_k is not None and max_k < 0:
         raise ValueError(f"max_k must be at least 0, not {max_k}")
+    if n > VERTEX_LIMIT:
+        raise ResourceLimitError(f"{n} vertices exceeds the solver's limit {VERTEX_LIMIT}")
     opted_in = max_k is not None or budget_subsets is not None or budget_secs is not None
     if n > DEFAULT_VERTEX_LIMIT and not opted_in:
         raise ResourceLimitError(

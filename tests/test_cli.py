@@ -18,7 +18,7 @@ from helpers import naive_closure, random_dipath_arcset, reference_document, \
 from zfcubes import (ArcSet, GraphDocument, TwistSpec, arcsets, build_minority_cube,
                      build_twisted, cli, closure, decompose, dumps_json_document,
                      find_chain_twist, from_json_document, graphs, serialize,
-                     solve_exact, to_dot, trace_to_arcset)
+                     solve_exact, solver, to_dot, trace_to_arcset)
 from zfcubes.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -617,6 +617,22 @@ def test_solve_bad_budget_exits_two(capsys, tmp_path, flag, value):
     assert out == ""
     assert manifest["outcome"] == "error"
     assert manifest["error_type"] == "ValueError"
+
+
+def test_solve_past_the_vertex_limit_exits_two_at_once(capsys, tmp_path):
+    # a budget opts in past the default limit, but not past the solver's limit
+    n = solver.VERTEX_LIMIT + 1
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"vertices": [str(i) for i in range(n)],
+                                "edges": [[str(i), str(i + 1)] for i in range(n - 1)]}))
+    code = main(["solve", "--input", str(path), "--budget-secs", "1"])
+    captured = capsys.readouterr()
+    *errors, manifest = captured.err.strip().splitlines()
+    manifest = json.loads(manifest)
+    assert (code, captured.out) == (2, "")
+    assert errors == [f"error: {n} vertices exceeds the solver's limit {n - 1}"]
+    assert manifest["error_type"] == "ResourceLimitError"
+    assert manifest["phase_secs"]["compute"] < 0.1
 
 
 def test_exact_search_oracles_pass(capsys, monkeypatch, tmp_path):

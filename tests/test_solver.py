@@ -150,6 +150,20 @@ def test_vertex_guard_requires_opt_in():
     assert result.status == "inconclusive"
 
 
+def test_every_solve_refuses_past_the_vertex_limit(monkeypatch):
+    # refused before the masks or the half-set bound are built, opted in or not
+    monkeypatch.setattr(Graph, "neighbor_masks", property(lambda g: 1 / 0))
+    monkeypatch.setattr(solver, "upper_bound", lambda g: 1 / 0)
+    g = Graph(range(solver.VERTEX_LIMIT + 1), [])
+    for kwargs in ({}, {"max_k": 1}, {"budget_secs": 1}, {"budget_subsets": 0},
+                   {"budget_secs": 1, "prune": False}):
+        started = time.monotonic()
+        with pytest.raises(ResourceLimitError) as err:
+            solve_exact(g, **kwargs)
+        assert time.monotonic() - started < 0.1
+    assert str(err.value) == "4097 vertices exceeds the solver's limit 4096"
+
+
 def test_trivial_graphs():
     assert solve_exact(complete_graph(1)).z == 1
     assert solve_exact(build_hypercube(1)).z == 1
@@ -207,6 +221,31 @@ def test_wavefront_from_closed_starts_matches_brute_force():
         assert 0 <= closures <= tested
         reached += z is not None
     assert 100 < reached < 400
+
+
+def test_close_from_matches_the_naive_closure():
+    # Both engines' closure. From a closed set S plus white vertices A, only A
+    # and their neighbours can force, so that is the scan; an unclosed start
+    # is scanned in full.
+    rng = random.Random(0xC105E)
+    grew = 0
+    for _ in range(500):
+        g = random_graph(rng.randint(1, 10), rng, p=rng.uniform(0.1, 0.8))
+        masks, full = g.neighbor_masks, (1 << len(g)) - 1
+        closed = naive_closure(g, rng.sample(g.vertices, rng.randint(0, len(g))))
+        white = [v for v in g.vertices if v not in closed]
+        for added in (rng.sample(white, rng.randint(0, len(white))), white[:1]):
+            scan = _mask(g, added)
+            for v in added:
+                scan |= masks[g.index[v]]
+            expected = _mask(g, naive_closure(g, closed | set(added)))
+            got = solver._close_from(masks, _mask(g, closed) | _mask(g, added), scan, full)
+            assert got == expected, (sorted(closed), added)
+            grew += expected != _mask(g, closed) | _mask(g, added)
+        start = rng.sample(g.vertices, rng.randint(0, len(g)))
+        assert solver._close_from(masks, _mask(g, start), full, full) == _mask(
+            g, naive_closure(g, start))
+    assert grew > 100
 
 
 def test_a_budget_inside_a_feasibility_check_leaves_z_bounds(monkeypatch):
