@@ -12,7 +12,9 @@ and, for ``solve``, the ``engine`` it ran and the work counts of its
 byte-identical across identical invocations.
 
 A file and stdin (``-``) are read alike: as bytes, hashed into the manifest's
-``inputs``, and decoded as UTF-8 with bad bytes replaced. ``export --dot`` is
+``inputs``, and decoded as UTF-8 with bad bytes replaced. A closed stdin or
+stdout is a read or write error. The console script writes stdout as UTF-8,
+as it writes an ``--output`` file, whatever the locale. ``export --dot`` is
 the one DOT switch. ``verify twist`` scans exhaustively a host that
 ``arcsets.exhaustive_fits`` takes, and walks any other.
 
@@ -28,6 +30,7 @@ import argparse
 import functools
 import gc
 import hashlib
+import io
 import json
 import os
 import resource
@@ -37,8 +40,7 @@ import time
 from . import __version__
 from .arcsets import decompose, exhaustive_fits, find_chain_twist, is_forcing_arc_set, \
     validate_arcset
-from .errors import ArcStructureError, DocumentError, MatchingError, \
-    ResourceLimitError
+from .errors import ArcStructureError, DocumentError, ResourceLimitError
 # closure stays bound here for perfbench/spans.py; verify set counts over ids
 from .forcing import closure, derived_count
 from .graphs import TwistSpec, _check_dimension, bitstrings, build_hypercube, \
@@ -302,10 +304,13 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
+        if sys.stdout is None and getattr(args, "output", None) in (None, "-"):
+            raise DocumentError("cannot write -: stdout is closed")  # fd 1 closed at start
         code = globals()[args.handler](args)
-        sys.stdout.flush()  # so that a closed pipe is met here, by every command
-    except (DocumentError, MatchingError, ResourceLimitError, ValueError,
-            RecursionError, MemoryError, KeyboardInterrupt, BrokenPipeError) as exc:
+        if sys.stdout is not None:
+            sys.stdout.flush()  # so that a closed pipe is met here, by every command
+    except (ValueError, ResourceLimitError, RecursionError, MemoryError,
+            KeyboardInterrupt, BrokenPipeError) as exc:
         if isinstance(exc, BrokenPipeError):
             # the interpreter flushes stdout again at exit; let that flush write nowhere
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -334,6 +339,9 @@ def _write_manifest(outcome: str, started: float) -> None:
 
 
 def entrypoint() -> None:
+    # stdout as UTF-8, like an --output file; in-process callers keep their own
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        sys.stdout.reconfigure(encoding="utf-8")
     sys.exit(main())
 
 

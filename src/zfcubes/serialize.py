@@ -225,46 +225,32 @@ def from_json_document(data) -> GraphDocument:
     if len(known) != len(vertices):
         _fail("duplicate vertex labels", "vertices")
 
-    def pair_list(key: str, required: bool):
-        """The raw list once every item is a list (None for a missing optional
-        key). Lengths and members are checked by their users: unpacking an
-        item into a pair raises on a wrong length. ``locate`` names the first
-        bad pair of a refused list."""
-        raw = data.get(key)
-        if raw is None:
-            if required:
-                _fail(f"missing {key}", key)
-            return None
-        if not isinstance(raw, list):
+    def from_pairs(key: str, build):
+        """``build`` of the pair list at ``key``, which unpacks each item and
+        looks its members up. On any refusal the list is walked to name its
+        first bad pair; a refusal with none is raised at the key."""
+        pairs, refusal = data[key], None
+        if not isinstance(pairs, list):
             _fail(f"{key} must be a list of pairs", key)
-        if set(map(type, raw)) <= {list}:
-            return raw
-        locate(key)
-
-    def locate(key: str) -> None:
-        for i, item in enumerate(data[key]):
+        try:
+            if set(map(type, pairs)) <= {list}:  # a two-letter string would unpack
+                return build(pairs)
+        except (ValueError, TypeError) as exc:  # a miss, or an unhashable member
+            refusal = exc
+        for i, item in enumerate(pairs):  # raises at an item that is not a list
             if (not isinstance(item, list) or len(item) != 2
                     or not all(isinstance(x, str) for x in item)):
                 _fail("expected a pair of vertex labels", f"{key}[{i}]")
             u, v = item
             if u not in known or v not in known:
                 _fail(f"unknown vertex in pair [{u!r}, {v!r}]", f"{key}[{i}]")
+        raise DocumentError(str(refusal), location=key) from refusal
 
-    edges = pair_list("edges", required=True)
-    try:
-        # Graph looks every member up; a miss or an unhashable member raises
-        graph = Graph(vertices, edges, dimension=dimension)
-    except (ValueError, TypeError) as exc:
-        locate("edges")
-        raise DocumentError(str(exc), location="edges") from exc
-
-    arc_pairs = pair_list("arcs", required=False)
-    arcs = None
-    if arc_pairs is not None:
-        try:
-            arcs = ArcSet(graph, arc_pairs)
-        except (TypeError, ValueError):  # an unhashable member or not a vertex
-            locate("arcs")
+    if data.get("edges") is None:
+        _fail("missing edges", "edges")
+    graph = from_pairs("edges", lambda pairs: Graph(vertices, pairs, dimension=dimension))
+    arcs = None if data.get("arcs") is None else from_pairs(
+        "arcs", lambda pairs: ArcSet(graph, pairs))
 
     initial = data.get("set")
     if initial is not None:

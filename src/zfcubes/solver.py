@@ -179,7 +179,7 @@ def _wavefront(masks, full: int, start: int, limit: int, deadline: Optional[floa
     n = len(masks)
     closed = tuple(masks[v] | (1 << v) for v in range(n))
     best = {start: 0}
-    buckets = [[] for _ in range(max(limit, 0) + 1)]
+    buckets = [[] for _ in range(limit + 1)]
     buckets[0].append(start)
     # pre-closure mask -> closure, kept for the current bucket only, which
     # bounds its size by one bucket's successors
@@ -290,6 +290,10 @@ def _search_level(masks, full: int, k: int, degree: int,
                   stats: Optional[dict] = None):
     """Enumerate the k-subsets of vertex ids, k >= 1, in lexicographic order.
 
+    Precondition: no set of k - 1 vertices forces, so no prefix's closure
+    is full; ``solve_exact`` tries sizes upward from ``lower_bound`` to the
+    first witness, and runs the witness level at z.
+
     Returns (witness ids or None, subsets tested, aborted flag). ``degree``
     is the maximum degree. Only the leaves whose last vertex is a trigger of
     the prefix's closure are closed; the others are counted in bulk. A
@@ -322,19 +326,15 @@ def _search_level(masks, full: int, k: int, degree: int,
         if r >= 2:
             last = n - r
             # scan only where a cut is possible and pays: more than one subset
-            # left, r below the maximum degree and a closure that is not full;
-            # with no r-trigger from x on, every subset is past the end
-            if x < last and r < degree and blue != full:
+            # left and r below the maximum degree; with no r-trigger from x
+            # on, every subset is past the end
+            if x < last and r < degree:
                 last = _last_next(masks, blue, full, x, r)
             ends[d] = last
         while True:
             slots = k - d
             if slots == 1:
                 # the leaves chosen[1:d + 1] + [y] for y in [x, n), x < n
-                if blue == full:
-                    if cap is not None and tested >= cap:
-                        return None, tested, True
-                    return chosen[1:d + 1] + [x], tested + 1, False
                 pos = x
                 rest = trig[d] >> x << x
                 while rest:
@@ -474,7 +474,7 @@ def solve_exact(graph: Graph, *, max_k: Optional[int] = None,
     started = time.monotonic()
     deadline = started + budget_secs if budget_secs is not None else None
     tested_total = 0
-    k_start = max(1, graph.min_degree())
+    k_start = max(1, lower_bound(graph))
     k_stop = min(max_k, n) if max_k is not None else n
 
     stats = dict.fromkeys(("wavefront_closures", "memo_hits", "feasibility_checks",

@@ -979,3 +979,98 @@ def test_verify_matches_the_label_level_oracles(capsys, tmp_path):
         assert (code, out) == (1 if unforced else 0, expected), case
         outcomes.add((forcing, not unforced))
     assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_closed_stdout_is_a_write_error(capsys, monkeypatch, tmp_path):
+    _, doc, _ = run_cli(capsys, "build", "minority", "-n", "4")
+    path = tmp_path / "m4.json"
+    path.write_text(doc)
+    # Python sets sys.stdout to None when the process starts with fd 1 closed
+    monkeypatch.setattr("sys.stdout", None)
+    for argv in (["solve", "--input", str(path)], ["verify", "arcs", "--input", str(path)],
+                 ["build", "minority", "-n", "4"],
+                 ["export", "--input", str(path), "--output", "-"]):
+        code = main(argv)
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 2, argv
+        assert lines[0] == "error: cannot write -: stdout is closed"
+        manifest = json.loads(lines[-1])
+        assert (manifest["outcome"], manifest["error_type"]) == ("error", "DocumentError")
+    # a payload written to a file does not need stdout
+    output = tmp_path / "out.json"
+    for argv, expected in ((["build", "minority", "-n", "4"], 0),
+                           (["solve", "--input", str(path), "--max-k", "6"], 1)):
+        code = main([*argv, "--output", str(output)])
+        manifest = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (code, "error_type" in manifest) == (expected, False), argv
+    assert json.loads(output.read_text())["status"] == "inconclusive"
+
+
+def test_stdout_is_utf8_whatever_the_locale(tmp_path):
+    # the console script writes stdout as an --output file is written
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps({"vertices": ["a", "ψ"], "edges": [["a", "ψ"]]}))
+    twisted = tmp_path / "twisted.json"  # a triangle with two arcs: one chain twist
+    twisted.write_text(json.dumps({"vertices": ["a", "c", "ψ"],
+                                   "edges": [["a", "ψ"], ["ψ", "c"], ["a", "c"]],
+                                   "arcs": [["a", "ψ"], ["ψ", "c"]]}))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for argv, expected_code in ((["export", "--dot", "--input", str(labels)], 0),
+                                (["verify", "twist", "--input", str(twisted)], 1)):
+        outs = {}
+        for encoding in ("utf-8", "latin-1", "ascii"):
+            run = subprocess.run([sys.executable, "-m", "zfcubes.cli", *argv],
+                                 env=dict(os.environ, PYTHONPATH=src,
+                                          PYTHONIOENCODING=encoding),
+                                 capture_output=True)
+            assert run.returncode == expected_code, (encoding, run.stderr)
+            outs[encoding] = run.stdout
+        assert "ψ".encode() in outs["utf-8"]
+        assert outs["latin-1"] == outs["ascii"] == outs["utf-8"], argv
+
+
+def _dot_and_json_files(tmp_path, name, graph, arcs):
+    json_path, dot_path = tmp_path / f"{name}.json", tmp_path / f"{name}.dot"
+    json_path.write_text(dumps_json_document(graph, arcs))
+    dot_path.write_text(to_dot(graph, arcs))
+    return json_path, dot_path
+
+
+def test_commands_print_the_same_on_dot_input_as_on_json(capsys, tmp_path):
+    rng = random.Random(27)
+    cube = build_minority_cube(6)
+    twisted = build_twisted(TwistSpec.random(5, rng))
+    hosts = (("m6", cube.graph, cube.arcs, cube.zero_forcing_set()),
+             ("t5", twisted, ArcSet(twisted, random_dipath_arcset(twisted, rng)),
+              [v for v in twisted.vertices if v.endswith("0")]))
+    seen = set()
+    for name, graph, arcs, initial in hosts:
+        files = _dot_and_json_files(tmp_path, name, graph, arcs)
+        for argv in (["verify", "arcs"], ["verify", "twist"],
+                     ["verify", "set", "--set", ",".join(initial)],
+                     ["solve", "--max-k", "2"], ["export"], ["export", "--dot"]):
+            by_json, by_dot = (run_cli(capsys, *argv, "--input", str(path))[:2]
+                               for path in files)
+            assert by_dot == by_json, (name, argv)
+            seen.add((argv[0], by_json[0]))
+    assert seen == {("verify", 0), ("verify", 1), ("solve", 1), ("export", 0)}
+
+
+def test_verify_twist_refuses_faulty_arcs_that_verify_arcs_lists(capsys, tmp_path):
+    # the faulty document of the CI shell smoke step
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "vertices": ["00", "01", "10", "11"],
+        "edges": [["00", "01"], ["00", "10"], ["01", "11"], ["10", "11"]],
+        "arcs": [["00", "11"], ["01", "11"], ["11", "01"]]}))
+    code = main(["verify", "twist", "--input", str(path)])
+    captured = capsys.readouterr()
+    *errors, manifest = captured.err.strip().splitlines()
+    assert (code, captured.out) == (2, "")
+    assert errors == ["error: arc '00'->'11': '00'-'11' is not an edge of the host"]
+    assert json.loads(manifest)["error_type"] == "ValueError"
+    code, out, _ = run_cli(capsys, "verify", "arcs", "--input", str(path))
+    assert (code, out.splitlines()) == (1, [
+        "violation: arc '00'->'11': '00'-'11' is not an edge of the host",
+        "violation: arc '01'->'11': the reverse arc is also present",
+        "FAIL: not a valid arc set"])

@@ -591,3 +591,29 @@ def test_statements_off_the_dialect_are_named_by_the_line_loop(statement):
         from_dot(text)
     message = f"unrecognised statement {statement.splitlines()[0]!r}"
     assert (err.value.location, str(err.value)) == ("line 2", f"line 2: {message}")
+
+
+@pytest.mark.parametrize("text, location, message", [
+    # an odd number of quotes: a label left open
+    ('graph zfcubes {\n  "a";\n  "b;\n}\n', "line 3", "unrecognised statement '\"b;'"),
+    ('graph zfcubes {\n  "a";\n  "b";\n  "a" -- "b;\n}\n', "line 4",
+     "unrecognised statement '\"a\" -- \"b;'"),
+    # a dimension line whose separator is not to_dot's
+    ('graph zfcubes {\n  dimension="1",\n  "0";\n  "1";\n  "0" -- "1";\n}\n', "line 2",
+     "unrecognised statement 'dimension=\"1\",'"),
+    ('graph zfcubes {\n  dimension="1"; "0";\n  "1";\n  "0" -- "1";\n}\n', "line 2",
+     "unrecognised statement 'dimension=\"1\"; \"0\";'"),
+    # the same separator with spacing that the line loop strips: it loads
+    ('graph zfcubes {\n  dimension="1"; \n  "0";\n  "1";\n  "0" -> "1";\n}\n', None, None),
+    ('graph zfcubes {\n  dimension="1";\n\n  "0";\n  "1";\n  "0" -> "1";\n}\n', None, None),
+])
+def test_texts_the_split_declines_go_through_the_line_loop(text, location, message):
+    assert serialize._split_dot(text) is None
+    if message is None:
+        g = Graph(["0", "1"], [("0", "1")], dimension=1)
+        expected = _loaded(from_json_document, dumps_json_document(g, ArcSet(g, [("0", "1")])))
+        assert _loaded(from_dot, text) == expected
+        return
+    with pytest.raises(DocumentError) as err:
+        from_dot(text)
+    assert (err.value.location, str(err.value)) == (location, f"{location}: {message}")
