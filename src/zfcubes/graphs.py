@@ -22,9 +22,10 @@ Edge = tuple
 
 # One dimension cap for every cube builder. At 20 (2 vCPUs, Python 3.11.7, the
 # collector paused) build_hypercube took 3.7 s and 697 MB, build_minority_cube
-# 6.8 s and 905 MB, and a fully random plan 35 s and 1.4 GB to draw and build;
-# loading a document of dimension 18 or more takes about 1 GB. At the product
-# limit, Q8 x Q8 and Q1 x Q15 took 0.4-0.6 s and 151-166 MB.
+# 6.8 s and 905 MB, and a fully random plan 35 s and 1.4 GB to draw and build.
+# A JSON document's load peaks at 3.6-5.3 times its size: 414 MB for
+# minority-17's 84 MB and 228 MB for a random twisted 16-cube's 63 MB. At the
+# product limit, Q8 x Q8 and Q1 x Q15 took 0.4-0.6 s and 151-166 MB.
 CONSTRUCTION_DIMENSION_LIMIT = 20
 PRODUCT_SIZE_LIMIT = 1 << 16
 

@@ -13,10 +13,19 @@ initial set, and free-form annotations::
     }
 
 Bit strings are text with the leftmost character most significant;
-``twisted_edges`` is derived on export and ignored on import: a parsed text
-drops it before the graph is built. The DOT form writes plain edges as
-``--`` and arcs as ``->`` (a mixed dialect: arc lines mark direction inside
-an otherwise undirected graph) and flags twisted edges with ``color=red``.
+``twisted_edges`` is derived on export and ignored on import.
+:func:`from_json_document` reads a text one top-level entry at a time with
+``json.loads``' own scanner: it builds the graph from ``edges``, freeing
+each pair as it reads it, and the arc set from ``arcs``, and parses
+``twisted_edges`` only to drop it, so that list is never held beside the
+edge list. A text this reader cannot take (a syntax error, trailing text, a
+repeated key or a key with an escape, ``edges`` before ``vertices``,
+``arcs`` before ``edges``, ``dimension`` after ``edges``, or any fault the
+checks refuse) is read again whole by ``json.loads`` and checked as a dict,
+which names its first fault as it always has. The DOT form writes plain
+edges as ``--`` and arcs as ``->`` (a mixed dialect: arc lines mark
+direction inside an otherwise undirected graph) and flags twisted edges
+with ``color=red``.
 Both formats round-trip exactly through :func:`from_json_document` /
 :func:`from_dot`, which share one vertex rule: under a ``dimension`` every
 label is a bit string of that length, and the vertices load in id order.
@@ -49,7 +58,7 @@ import json
 import re
 from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
@@ -198,71 +207,161 @@ def _ordered_vertices(vertices: list, dimension: int | None, where) -> list:
     return vertices if dimension is None else sorted(vertices)
 
 
-def from_json_document(data) -> GraphDocument:
-    """Parse and validate a JSON document (str, bytes, or an already-loaded dict).
+def _from_pairs(pairs, key: str, labels, build):
+    """``build`` of the pair list ``pairs`` at ``key``, which unpacks each item
+    and looks its members up among ``labels``. On any refusal the list is
+    walked to name its first bad pair; a refusal with none is raised at the key."""
+    refusal = None
+    if not isinstance(pairs, list):
+        _fail(f"{key} must be a list of pairs", key)
+    try:
+        if set(map(type, pairs)) <= {list}:  # a two-letter string would unpack
+            return build(pairs)
+    except (ValueError, TypeError) as exc:  # a miss, or an unhashable member
+        refusal = exc
+    known = set(labels)
+    for i, item in enumerate(pairs):  # raises at an item that is not a list
+        if (not isinstance(item, list) or len(item) != 2
+                or not all(isinstance(x, str) for x in item)):
+            _fail("expected a pair of vertex labels", f"{key}[{i}]")
+        u, v = item
+        if u not in known or v not in known:
+            _fail(f"unknown vertex in pair [{u!r}, {v!r}]", f"{key}[{i}]")
+    raise DocumentError(str(refusal), location=key) from refusal
 
-    Raises :class:`DocumentError` pointing at the offending location; nothing
-    partial is ever returned. A dict passed in is never changed.
+
+def _graph_entries(data: dict, edges, consume: bool = False) -> Graph:
+    """The graph of ``data``'s ``dimension`` and ``vertices`` entries and the
+    pair list ``edges``, each checked in that order.
+
+    With ``consume`` the build takes each pair off ``edges`` as it reads it,
+    so the list is freed while the graph grows; a refused list is left part
+    read and its refusal may name the wrong pair, so only a caller that
+    discards refusals may ask for it.
     """
-    if isinstance(data, (bytes, bytearray)):
-        data = data.decode("utf-8", errors="replace")
-    if isinstance(data, str):
-        data = _loads_json(data)
-        if isinstance(data, dict):
-            data.pop("twisted_edges", None)  # ignored; free it before the graph is built
-    if not isinstance(data, dict):
-        _fail("document must be a JSON object", "$")
-
     dimension = data.get("dimension")
     if dimension is not None and (type(dimension) is not int or dimension < 0):
         _fail("dimension must be a non-negative integer or null", "dimension")
-
     vertices = data.get("vertices")
     if not isinstance(vertices, list) or not vertices:
         _fail("vertices must be a non-empty list", "vertices")
     vertices = _ordered_vertices(vertices, dimension, lambda i: f"vertices[{i}]")
-    known = set(vertices)
-    if len(known) != len(vertices):
+    if len(set(vertices)) != len(vertices):
         _fail("duplicate vertex labels", "vertices")
-
-    def from_pairs(key: str, build):
-        """``build`` of the pair list at ``key``, which unpacks each item and
-        looks its members up. On any refusal the list is walked to name its
-        first bad pair; a refusal with none is raised at the key."""
-        pairs, refusal = data[key], None
-        if not isinstance(pairs, list):
-            _fail(f"{key} must be a list of pairs", key)
-        try:
-            if set(map(type, pairs)) <= {list}:  # a two-letter string would unpack
-                return build(pairs)
-        except (ValueError, TypeError) as exc:  # a miss, or an unhashable member
-            refusal = exc
-        for i, item in enumerate(pairs):  # raises at an item that is not a list
-            if (not isinstance(item, list) or len(item) != 2
-                    or not all(isinstance(x, str) for x in item)):
-                _fail("expected a pair of vertex labels", f"{key}[{i}]")
-            u, v = item
-            if u not in known or v not in known:
-                _fail(f"unknown vertex in pair [{u!r}, {v!r}]", f"{key}[{i}]")
-        raise DocumentError(str(refusal), location=key) from refusal
-
-    if data.get("edges") is None:
+    if edges is None:
         _fail("missing edges", "edges")
-    graph = from_pairs("edges", lambda pairs: Graph(vertices, pairs, dimension=dimension))
-    arcs = None if data.get("arcs") is None else from_pairs(
-        "arcs", lambda pairs: ArcSet(graph, pairs))
 
+    def build(pairs):
+        if consume:
+            # popped from the end of the reversed list, the pairs are read,
+            # and freed, in text order: on a random twisted 16-cube (2 vCPUs,
+            # Python 3.11.7) that build took 0.63 s, the plain one 0.62 s,
+            # and popping from the end of the list as read 0.74 s
+            pairs.reverse()
+            pairs = map(pairs.pop, repeat(-1, len(pairs)))
+        return Graph(vertices, pairs, dimension=dimension)
+
+    return _from_pairs(edges, "edges", vertices, build)
+
+
+def _arc_entry(graph: Graph, arcs) -> ArcSet | None:
+    """The arc set of the pair list ``arcs`` on ``graph``, or None for null."""
+    return None if arcs is None else _from_pairs(
+        arcs, "arcs", graph.vertices, lambda pairs: ArcSet(graph, pairs))
+
+
+def _document(data: dict, graph: Graph, arcs: ArcSet | None) -> GraphDocument:
+    """The document of a built graph and arc set, with ``data``'s ``set``
+    checked and its other keys as the extras."""
     initial = data.get("set")
     if initial is not None:
         if not isinstance(initial, list) or not all(isinstance(v, str) for v in initial):
             _fail("set must be a list of vertex labels", "set")
         for i, v in enumerate(initial):
-            if v not in known:
+            if v not in graph.index:
                 _fail(f"unknown vertex {v!r}", f"set[{i}]")
         initial = tuple(initial)
-
     extras = {k: v for k, v in data.items() if k not in _RESERVED_KEYS}
     return GraphDocument(graph=graph, arcs=arcs, initial_set=initial, extras=extras)
+
+
+# The opening brace, or a comma, then a key without escapes and its colon,
+# with the JSON whitespace around each; a key with an escape is declined.
+_JSON_KEY = r'[ \t\n\r]*"([^"\\\x00-\x1f]*)"[ \t\n\r]*:[ \t\n\r]*'
+_json_first = re.compile(r"[ \t\n\r]*\{" + _JSON_KEY).match
+_json_next = re.compile(r"[ \t\n\r]*," + _JSON_KEY).match
+_json_close = re.compile(r"[ \t\n\r]*\}[ \t\n\r]*").fullmatch
+# json.loads' own scanner: (value, end) from an index, or StopIteration
+_json_value = json.JSONDecoder().scan_once
+
+
+def _read_entries(text: str) -> GraphDocument | None:
+    """The document of a JSON text read one top-level entry at a time, or
+    None for a text this reader cannot take.
+
+    Each value is parsed in place by ``json.loads``' own scanner. The graph
+    is built as soon as ``edges`` is read, consuming that list, and the arc
+    set as soon as ``arcs`` is; ``twisted_edges`` is parsed, so that it must
+    be JSON, and dropped. Each pair list is let go before the next value is
+    parsed. Each text the module docstring lists as one this reader cannot
+    take gives None.
+    """
+    data: dict = {}
+    graph = arcs = None
+    m = _json_first(text)
+    try:
+        while m:
+            key = m[1]
+            if key in data:
+                return None
+            value, i = _json_value(text, m.end())
+            if key == "edges":  # refused before vertices, so declined
+                graph = _graph_entries(data, value, consume=True)
+                value = None
+            elif key == "arcs":
+                if graph is None:
+                    return None
+                arcs = _arc_entry(graph, value)
+                value = None
+            elif key == "twisted_edges":
+                value = None
+            elif key == "dimension" and graph is not None:
+                return None
+            data[key] = value
+            m = _json_next(text, i)
+        if graph is None or not _json_close(text, i):
+            return None
+        return _document(data, graph, arcs)
+    except (ValueError, StopIteration, RecursionError):  # a syntax error or a refusal
+        return None
+
+
+def from_json_document(data) -> GraphDocument:
+    """Parse and validate a JSON document (str, bytes, or an already-loaded dict).
+
+    A text is read by :func:`_read_entries`, one top-level entry at a time,
+    so the edge list is freed as the graph is built and the ignored
+    ``twisted_edges`` list is never held beside it. Any text that reader
+    cannot take, a faulty one among them, is read whole by ``json.loads``
+    and goes through the dict checks, which name its first fault; a text
+    therefore loads, or is refused with the same message and location,
+    either way. Raises :class:`DocumentError` pointing at the offending
+    location; nothing partial is ever returned. A dict passed in is never
+    changed.
+    """
+    if isinstance(data, (bytes, bytearray)):
+        data = data.decode("utf-8", errors="replace")
+    if isinstance(data, str):
+        document = _read_entries(data)
+        if document is not None:
+            return document
+        data = _loads_json(data)
+        if isinstance(data, dict):
+            data.pop("twisted_edges", None)  # ignored; free it before the graph is built
+    if not isinstance(data, dict):
+        _fail("document must be a JSON object", "$")
+    graph = _graph_entries(data, data.get("edges"))
+    return _document(data, graph, _arc_entry(graph, data.get("arcs")))
 
 
 def to_dot(graph: Graph, arcs: ArcSet | None = None) -> str:

@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -617,3 +618,97 @@ def test_texts_the_split_declines_go_through_the_line_loop(text, location, messa
     with pytest.raises(DocumentError) as err:
         from_dot(text)
     assert (err.value.location, str(err.value)) == (location, f"{location}: {message}")
+
+
+def _whole_text(text):
+    """A JSON text read whole: ``json.loads``, then the dict checks."""
+    return from_json_document(serialize._loads_json(text))
+
+
+def _outcome(load, text):
+    """The document's fields, or the refusal's location and message."""
+    try:
+        doc = load(text)
+    except DocumentError as exc:
+        return exc.location, str(exc)
+    return (doc.graph.vertices, doc.graph.neighbor_ids, doc.graph.dimension,
+            None if doc.arcs is None else doc.arcs.ids, doc.initial_set, doc.extras)
+
+
+_Q1 = '"vertices": ["0", "1"], "edges": [["0", "1"]]'
+
+
+@pytest.mark.parametrize("text", [
+    # a bad label that the entry reader meets before a later syntax error
+    '{"dimension": 2, "vertices": ["0x", "01"], "edges": [["0x", "01"]], "twisted_edges": [}',
+    '{"dimension": 2, "vertices": ["00", "01"], "edges": [["00", "01"]], "set": ["00"] x}',
+    # a repeated key: json.loads keeps its last value
+    '{' + _Q1 + ', "vertices": ["0"]}',
+    '{"vertices": ["0", "1"], "edges": [["0", "2"]], "edges": [["0", "1"]]}',
+    # edges before vertices, arcs before edges, a dimension after edges
+    '{"edges": [["0", "2"]], "vertices": ["0", "1"]}',
+    '{"edges": [["0", "1"]], "vertices": ["0", "1"]}',
+    '{"vertices": ["0", "1"], "arcs": [["0", "1"]], "edges": [["0", "1"]]}',
+    '{' + _Q1 + ', "dimension": 2}',
+    '{' + _Q1 + ', "dimension": 1}',
+    # a twisted_edges value that is not JSON, and any value it may be
+    '{' + _Q1 + ', "twisted_edges": [["0", "1"]}',
+    '{' + _Q1 + ', "twisted_edges": nope}',
+    '{' + _Q1 + ', "twisted_edges": {"any": [1, 2.5, null]}}',
+    # trailing text, an unclosed object, and texts that are not one object
+    '{' + _Q1 + '} {}',
+    '{' + _Q1 + '}\n\t x',
+    '{' + _Q1,
+    '{' + _Q1 + ',}',
+    '{' + _Q1 + ' {"note": 1}}',
+    '{}', '[]', '', '  \n', '\ufeff{' + _Q1 + '}',
+    # an arc or a set member with an unknown endpoint, a missing edge list
+    '{' + _Q1 + ', "arcs": [["0", "1"], ["1", "2"]]}',
+    '{' + _Q1 + ', "arcs": [["0", "1"]], "set": ["2"]}',
+    '{"vertices": ["0", "1"], "edges": null, "arcs": [["0", "1"]]}',
+    '{"vertices": ["0", "1"]}',
+    # keys with escapes, a key that is not a string, and extras in text order
+    '{' + _Q1 + ', "n\\u00f6te": 1, "a\\"b": 2}',
+    '{' + _Q1 + ', 3: 4}',
+    '{"z": [], ' + _Q1 + ', "arcs": null, "a": {"edges": 1}}',
+    # JSON whitespace everywhere, and none
+    '\r\n\t{ "vertices" :[ "0" , "1" ] ,\n"edges":[["0","1"]] }\n\n',
+    '{' + _Q1.replace(" ", "") + '}',
+])
+def test_the_entry_reader_and_the_whole_text_read_agree(text):
+    assert _outcome(from_json_document, text) == _outcome(_whole_text, text)
+    assert _outcome(from_json_document, text.encode()) == _outcome(_whole_text, text)
+
+
+def test_documents_in_both_layouts_load_without_the_whole_text_read(monkeypatch):
+    rng = random.Random(2828)
+    cube = build_minority_cube(5)
+    twisted = build_twisted(TwistSpec.random(5, rng))
+    texts = [dumps_json_document(cube.graph, cube.arcs, cube.zero_forcing_set(),
+                                 extras={"bridge_arc": list(cube.bridge_arc), "note": "é"}),
+             dumps_json_document(twisted, trace_to_arcset(closure(twisted, twisted.vertices[:16]))),
+             dumps_json_document(Graph(["a", "b"], []), ArcSet(Graph(["a", "b"], []), []))]
+    texts += [json.dumps(json.loads(text), separators=(",", ":")) for text in texts]
+    expected = [_outcome(_whole_text, text) for text in texts]
+
+    def refuse(text):
+        raise AssertionError("the text was read whole")
+
+    monkeypatch.setattr(serialize, "_loads_json", refuse)
+    assert [_outcome(from_json_document, text) for text in texts] == expected
+
+
+def test_a_text_load_never_holds_the_twisted_edges_beside_the_edges():
+    # most matching edges of a random twisted cube are twisted
+    g = build_twisted(TwistSpec.random(10, random.Random(1)))
+    half = [v for v in g.vertices if v.endswith("0")]
+    text = dumps_json_document(g, trace_to_arcset(closure(g, half)), half)
+    peaks = []
+    for load in (json.loads, from_json_document):
+        tracemalloc.start()
+        try:
+            load(text)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 0.8 * peaks[0], peaks
