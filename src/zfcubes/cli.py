@@ -12,11 +12,12 @@ and, for ``solve``, the ``engine`` it ran and the work counts of its
 byte-identical across identical invocations.
 
 A file and stdin (``-``) are read alike: as bytes, hashed into the manifest's
-``inputs``, and decoded as UTF-8 with bad bytes replaced. A closed stdin or
-stdout is a read or write error. The console script writes stdout as UTF-8,
-as it writes an ``--output`` file, whatever the locale. ``export --dot`` is
-the one DOT switch. ``verify twist`` scans exhaustively a host that
-``arcsets.exhaustive_fits`` takes, and walks any other.
+``inputs``, and decoded as UTF-8 with one leading byte order mark dropped
+and bad bytes replaced. A closed stdin or stdout is a read or write error.
+The console script writes stdout as UTF-8, as it writes an ``--output``
+file, whatever the locale. ``export --dot`` is the one DOT switch.
+``verify twist`` scans exhaustively a host that ``arcsets.exhaustive_fits``
+takes, and walks any other.
 
 Each command runs with the cyclic garbage collector paused, and ``main``
 restores the caller's setting on every way out, an escaping exception too.
@@ -68,7 +69,7 @@ def _read_input(path: str) -> str:
         raise DocumentError(f"cannot read {path}: {exc.strerror}") from exc
     _manifest.setdefault("inputs", {})["<stdin>" if path == "-" else path] = \
         hashlib.sha256(raw).hexdigest()
-    return raw.decode("utf-8", errors="replace")
+    return raw.decode("utf-8-sig", errors="replace")
 
 
 def _add_phase(phase: str, started: float) -> None:

@@ -16,14 +16,15 @@ Bit strings are text with the leftmost character most significant;
 ``twisted_edges`` is derived on export and ignored on import.
 :func:`from_json_document` reads a text one top-level entry at a time with
 ``json.loads``' own scanner: it builds the graph from ``edges``, freeing
-each pair as it reads it, and the arc set from ``arcs``, and parses
-``twisted_edges`` only to drop it, so that list is never held beside the
-edge list. A text this reader cannot take (a syntax error, trailing text, a
-repeated key or a key with an escape, ``edges`` before ``vertices``,
-``arcs`` before ``edges``, ``dimension`` after ``edges``, or any fault the
-checks refuse) is read again whole by ``json.loads`` and checked as a dict,
-which names its first fault as it always has. The DOT form writes plain
-edges as ``--`` and arcs as ``->`` (a mixed dialect: arc lines mark
+each pair as it reads it, and parses ``twisted_edges`` only to drop it, so
+that list is never held beside the edge list. A text this reader declines
+(a syntax error, trailing text, a repeated key or a key with an escape,
+``edges`` before ``vertices``, ``dimension`` after ``edges``, or a fault of
+the graph) is read again whole by ``json.loads`` and checked as a dict,
+which names its first fault as it always has. Once the entry reader has
+read a text whole, its ``arcs``, ``set`` and extras are checked as a dict's
+are, so a fault there is refused without a second read. The DOT form writes
+plain edges as ``--`` and arcs as ``->`` (a mixed dialect: arc lines mark
 direction inside an otherwise undirected graph) and flags twisted edges
 with ``color=red``.
 Both formats round-trip exactly through :func:`from_json_document` /
@@ -264,15 +265,15 @@ def _graph_entries(data: dict, edges, consume: bool = False) -> Graph:
     return _from_pairs(edges, "edges", vertices, build)
 
 
-def _arc_entry(graph: Graph, arcs) -> ArcSet | None:
-    """The arc set of the pair list ``arcs`` on ``graph``, or None for null."""
-    return None if arcs is None else _from_pairs(
-        arcs, "arcs", graph.vertices, lambda pairs: ArcSet(graph, pairs))
-
-
-def _document(data: dict, graph: Graph, arcs: ArcSet | None) -> GraphDocument:
-    """The document of a built graph and arc set, with ``data``'s ``set``
-    checked and its other keys as the extras."""
+def _document(data: dict, graph: Graph | None = None) -> GraphDocument:
+    """The document of ``data``, checked in the dict checks' order: its graph,
+    unless ``graph`` was already built from it, then ``arcs`` and ``set``,
+    with its other keys as the extras."""
+    if graph is None:
+        graph = _graph_entries(data, data.get("edges"))
+    arcs = data.get("arcs")
+    if arcs is not None:
+        arcs = _from_pairs(arcs, "arcs", graph.vertices, lambda pairs: ArcSet(graph, pairs))
     initial = data.get("set")
     if initial is not None:
         if not isinstance(initial, list) or not all(isinstance(v, str) for v in initial):
@@ -295,45 +296,34 @@ _json_close = re.compile(r"[ \t\n\r]*\}[ \t\n\r]*").fullmatch
 _json_value = json.JSONDecoder().scan_once
 
 
-def _read_entries(text: str) -> GraphDocument | None:
-    """The document of a JSON text read one top-level entry at a time, or
-    None for a text this reader cannot take.
+def _read_entries(text: str) -> tuple:
+    """The entries of a JSON text read one at a time, as a dict, with the
+    graph built from them, or None when the text has no ``edges``.
 
     Each value is parsed in place by ``json.loads``' own scanner. The graph
-    is built as soon as ``edges`` is read, consuming that list, and the arc
-    set as soon as ``arcs`` is; ``twisted_edges`` is parsed, so that it must
-    be JSON, and dropped. Each pair list is let go before the next value is
-    parsed. Each text the module docstring lists as one this reader cannot
-    take gives None.
+    is built as soon as ``edges`` is read, consuming that list, and
+    ``twisted_edges`` is parsed, so that it must be JSON, and dropped; the
+    dict holds None for both. Each text the module docstring lists as one
+    this reader declines raises a ValueError, StopIteration or RecursionError.
     """
     data: dict = {}
-    graph = arcs = None
-    m = _json_first(text)
-    try:
-        while m:
-            key = m[1]
-            if key in data:
-                return None
-            value, i = _json_value(text, m.end())
-            if key == "edges":  # refused before vertices, so declined
-                graph = _graph_entries(data, value, consume=True)
-                value = None
-            elif key == "arcs":
-                if graph is None:
-                    return None
-                arcs = _arc_entry(graph, value)
-                value = None
-            elif key == "twisted_edges":
-                value = None
-            elif key == "dimension" and graph is not None:
-                return None
-            data[key] = value
-            m = _json_next(text, i)
-        if graph is None or not _json_close(text, i):
-            return None
-        return _document(data, graph, arcs)
-    except (ValueError, StopIteration, RecursionError):  # a syntax error or a refusal
-        return None
+    graph = None
+    m, i = _json_first(text), 0
+    while m:
+        key = m[1]
+        if key in data or key == "dimension" and graph is not None:
+            raise ValueError(f"declined: {key!r} repeated or after the edges")
+        value, i = _json_value(text, m.end())
+        if key == "edges":  # a graph fault, or edges before vertices, raises
+            graph = _graph_entries(data, value, consume=True)
+            value = None
+        elif key == "twisted_edges":
+            value = None
+        data[key] = value
+        m = _json_next(text, i)
+    if not data or not _json_close(text, i):
+        raise ValueError("declined: not one JSON object")
+    return data, graph
 
 
 def from_json_document(data) -> GraphDocument:
@@ -341,27 +331,30 @@ def from_json_document(data) -> GraphDocument:
 
     A text is read by :func:`_read_entries`, one top-level entry at a time,
     so the edge list is freed as the graph is built and the ignored
-    ``twisted_edges`` list is never held beside it. Any text that reader
-    cannot take, a faulty one among them, is read whole by ``json.loads``
-    and goes through the dict checks, which name its first fault; a text
-    therefore loads, or is refused with the same message and location,
-    either way. Raises :class:`DocumentError` pointing at the offending
-    location; nothing partial is ever returned. A dict passed in is never
-    changed.
+    ``twisted_edges`` list is never held beside it. A text that reader
+    declines (a syntax error, trailing text, a repeated key or a key with an
+    escape, ``edges`` before ``vertices``, ``dimension`` after ``edges``, or
+    a fault of the graph) is read whole by ``json.loads`` and goes through
+    the dict checks. A text it takes has parsed as one object without a
+    repeated key, so its ``arcs``, ``set`` and extras go through the dict's
+    own checks without a second read. Either way a text loads, or is refused
+    at its first fault with the same message and location. Raises
+    :class:`DocumentError` pointing at the offending location; nothing
+    partial is ever returned. A dict passed in is never changed.
     """
+    graph = None
     if isinstance(data, (bytes, bytearray)):
         data = data.decode("utf-8", errors="replace")
     if isinstance(data, str):
-        document = _read_entries(data)
-        if document is not None:
-            return document
-        data = _loads_json(data)
-        if isinstance(data, dict):
-            data.pop("twisted_edges", None)  # ignored; free it before the graph is built
+        try:
+            data, graph = _read_entries(data)
+        except (ValueError, StopIteration, RecursionError):  # declined
+            data = _loads_json(data)
+            if isinstance(data, dict):
+                data.pop("twisted_edges", None)  # ignored; free it before the graph is built
     if not isinstance(data, dict):
         _fail("document must be a JSON object", "$")
-    graph = _graph_entries(data, data.get("edges"))
-    return _document(data, graph, _arc_entry(graph, data.get("arcs")))
+    return _document(data, graph)
 
 
 def to_dot(graph: Graph, arcs: ArcSet | None = None) -> str:

@@ -429,6 +429,28 @@ def test_stdin_and_file_agree_on_a_non_utf8_byte(capsys, monkeypatch, tmp_path):
     assert by_stdin[2]["inputs"] == {"<stdin>": digest}
 
 
+@pytest.mark.parametrize("export", [(), ("--dot",)])
+def test_a_leading_byte_order_mark_is_dropped_from_a_file_and_stdin(
+        capsys, monkeypatch, tmp_path, export):
+    _, doc, _ = run_cli(capsys, "build", "minority", "-n", "4")
+    (tmp_path / "m4.json").write_text(doc)
+    _, text, _ = run_cli(capsys, "export", *export, "--input", str(tmp_path / "m4.json"))
+    results = []
+    for raw in (text.encode(), b"\xef\xbb\xbf" + text.encode()):
+        path = tmp_path / "doc"
+        path.write_bytes(raw)
+        by_file = run_cli(capsys, "verify", "arcs", "--input", str(path))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw)))
+        by_stdin = run_cli(capsys, "verify", "arcs", "--input", "-")
+        # the manifest hashes the bytes as read, the mark included
+        digest = hashlib.sha256(raw).hexdigest()
+        assert by_file[2]["inputs"] == {str(path): digest}
+        assert by_stdin[2]["inputs"] == {"<stdin>": digest}
+        results += [by_file[:2], by_stdin[:2]]
+    assert results[0][0] == 0 and "PASS" in results[0][1]
+    assert results == results[:1] * 4
+
+
 def test_closed_stdin_is_a_read_error(capsys, monkeypatch):
     # Python sets sys.stdin to None when the process starts with fd 0 closed
     monkeypatch.setattr("sys.stdin", None)

@@ -688,8 +688,17 @@ def test_documents_in_both_layouts_load_without_the_whole_text_read(monkeypatch)
                                  extras={"bridge_arc": list(cube.bridge_arc), "note": "é"}),
              dumps_json_document(twisted, trace_to_arcset(closure(twisted, twisted.vertices[:16]))),
              dumps_json_document(Graph(["a", "b"], []), ArcSet(Graph(["a", "b"], []), []))]
+    # faults after the graph, refused as read once; arcs before the edges load
+    doc = json.loads(texts[0])
+    texts += [json.dumps(late, indent=2) for late in (
+        dict(doc, arcs=doc["arcs"] + [[doc["vertices"][0], "x"]]),
+        dict(doc, set=doc["set"] + ["x"]),
+        {k: v for k, v in doc.items() if k != "edges"},
+        {"arcs": None, **doc})]  # the first key, with doc's arcs
     texts += [json.dumps(json.loads(text), separators=(",", ":")) for text in texts]
     expected = [_outcome(_whole_text, text) for text in texts]
+    assert [e[0] for e in expected[3:6]] == [f"arcs[{len(doc['arcs'])}]",
+                                             f"set[{len(doc['set'])}]", "edges"]
 
     def refuse(text):
         raise AssertionError("the text was read whole")
