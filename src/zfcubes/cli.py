@@ -3,10 +3,12 @@
 Exit codes are a stable contract: 0 for a passing run, 1 for a mathematical
 failure (set does not force, arcs do not execute, a chain twist exists, a
 solve stayed inconclusive), 2 for usage, parse, or domain errors, and for a
-run cut short by recursion depth, memory, an interrupt or a closed stdout
-pipe; the manifest then names the exception class as ``error_type``. Every
-invocation, ``--help`` too, writes one machine-readable manifest line to
-stderr. It carries the process's peak resident set size as ``peak_rss_mb``
+run cut short by recursion depth, memory, an interrupt or a stdout that
+cannot be written (a closed pipe, a full disk); the manifest then names the
+exception class as ``error_type``. Every invocation, ``--help`` too, writes
+one machine-readable manifest line to stderr while stderr is open; a closed
+or missing stderr loses the manifest, never the exit code or a byte of
+stdout. It carries the process's peak resident set size as ``peak_rss_mb``
 and, for ``solve``, the ``engine`` it ran and the work counts of its
 ``SolveResult``. Stdout carries only the requested payload and is
 byte-identical across identical invocations.
@@ -28,6 +30,7 @@ counting, so collections during a command would only rescan it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import gc
 import hashlib
@@ -311,11 +314,13 @@ def main(argv=None) -> int:
         if sys.stdout is not None:
             sys.stdout.flush()  # so that a closed pipe is met here, by every command
     except (ValueError, ResourceLimitError, RecursionError, MemoryError,
-            KeyboardInterrupt, BrokenPipeError) as exc:
-        if isinstance(exc, BrokenPipeError):
+            KeyboardInterrupt, OSError) as exc:  # OSError: stdout could not be written
+        if isinstance(exc, OSError):
             # the interpreter flushes stdout again at exit; let that flush write nowhere
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+            with contextlib.suppress(OSError):  # no fd, as a StringIO
+                fd = sys.stdout.fileno()
+                os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        _to_stderr(f"error: {str(exc) or type(exc).__name__}")
         _manifest["error_type"] = type(exc).__name__
         code = 2
     finally:  # also when the except block or an uncaught exception leaves
@@ -336,7 +341,14 @@ def _write_manifest(outcome: str, started: float) -> None:
     _manifest["peak_rss_mb"] = round(
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     _manifest["outcome"] = outcome
-    print(json.dumps(_manifest, sort_keys=True), file=sys.stderr)
+    _to_stderr(json.dumps(_manifest, sort_keys=True))
+
+
+def _to_stderr(line: str) -> None:
+    # a closed or missing stderr loses the line, never the exit code or stdout
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            print(line, file=sys.stderr)
 
 
 def entrypoint() -> None:

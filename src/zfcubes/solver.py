@@ -202,11 +202,10 @@ def _wavefront(masks, full: int, start: int, limit: int, deadline: Optional[floa
                 reach = cost + (added.bit_count() - 1 or 1)
                 if reach > limit:
                     continue
-                if cap is not None and tested >= cap:
+                if (cap is not None and tested >= cap or deadline is not None
+                        and tested % 512 == 511 and time.monotonic() > deadline):
                     return None, cost + 1, best.get(full), tested, closures
                 tested += 1
-                if deadline is not None and tested % 512 == 0 and time.monotonic() > deadline:
-                    return None, cost + 1, best.get(full), tested, closures
                 pre = blue | added
                 succ = memo.get(pre)
                 if succ is None:
@@ -299,8 +298,9 @@ def _search_level(masks, full: int, k: int, degree: int,
     the prefix's closure are closed; the others are counted in bulk. A
     prefix with r >= 2 slots left, the empty one included, descends only
     into next vertices up to its highest r-trigger (module docstring); the
-    subsets past it are counted with one binomial. ``deadline`` is read
-    after each bulk count, as ``solve_exact`` states.
+    subsets past it are counted with one binomial. A leaf is checked
+    against ``cap`` before its closure, and every other count once, before
+    its prefix is left, where ``deadline`` is read too.
 
     The default engine's witness level passes ``stats``, a dict of counters.
     Then a nonempty prefix with r >= 2 slots left whose first next vertex
@@ -341,17 +341,13 @@ def _search_level(masks, full: int, k: int, degree: int,
                     low = rest & -rest
                     rest ^= low
                     y = low.bit_length() - 1
-                    if cap is not None and tested + y - pos >= cap:
-                        return None, cap, True
                     tested += y - pos + 1
+                    if cap is not None and tested > cap:
+                        return None, cap, True
                     if _close_from(masks, blue | low, masks[y] | low, full) == full:
                         return chosen[1:d + 1] + [y], tested, False
                     pos = y + 1
-                if cap is not None and tested + n - pos > cap:
-                    return None, cap, True
                 tested += n - pos
-                if deadline is not None and time.monotonic() > deadline:
-                    return None, tested, True
             elif x <= ends[d]:
                 blue, t = stack[d], trig[d]
                 bit = 1 << x
@@ -371,12 +367,11 @@ def _search_level(masks, full: int, k: int, degree: int,
                 break
             elif ends[d] < n - slots:
                 # no subset whose next vertex lies past ends[d] can force
-                past = math.comb(n - 1 - ends[d], slots)
-                if cap is not None and tested + past > cap:
-                    return None, cap, True
-                tested += past
-                if deadline is not None and time.monotonic() > deadline:
-                    return None, tested, True
+                tested += math.comb(n - 1 - ends[d], slots)
+            if cap is not None and tested > cap:
+                return None, cap, True
+            if deadline is not None and time.monotonic() > deadline:
+                return None, tested, True
             if d == 0:
                 return None, tested, False
             x = chosen[d] + 1
@@ -430,14 +425,14 @@ def solve_exact(graph: Graph, *, max_k: Optional[int] = None,
     Budgets turn the result inconclusive instead of wrong; ``bounds`` then
     reports a proven lower bound and the best known upper bound.
     ``budget_subsets`` caps ``subsets_tested`` exactly, also inside a
-    bulk-counted run of subsets. In the default engine that count is mostly
-    witness-level subsets counted in bulk, not work; ``budget_secs`` caps
-    the work. It is measured on the monotonic clock and read at least once
-    per 512 successor states of each wavefront run, a feasibility check's
-    included, and, in the enumeration, once per prefix whose subsets were
-    counted: after the leaves of each prefix with one slot left, which at
-    size 1 is the empty prefix, and after each bulk count past a highest
-    r-trigger or a failed check, the empty prefix's included. Exhausting
+    bulk-counted run of subsets: the enumeration checks a leaf against it
+    before the leaf's closure, and every other count once, before its
+    prefix is left. In the default engine that count is mostly witness-level
+    subsets counted in bulk, not work; ``budget_secs`` caps the work. It is
+    measured on the monotonic clock and read before every 512th successor
+    state of each wavefront run, a feasibility check's included, so a
+    stopped run counts only the states it evaluated, and in the enumeration
+    as each prefix is left, the empty one included. Exhausting
     every size up to ``max_k`` gives the lower bound max_k + 1. When a
     budget stops the wavefront in the bucket of cost c, every cheaper state
     was expanded and none of cost c is full, so the lower bound is c + 1; in

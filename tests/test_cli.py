@@ -260,6 +260,53 @@ def test_a_reader_that_closes_early_ends_the_run_with_exit_two_and_a_manifest():
     assert (manifest["outcome"], manifest["error_type"]) == ("error", "BrokenPipeError")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_stdout_that_cannot_be_written_exits_two_with_a_manifest(capsys, tmp_path):
+    path = tmp_path / "m4.json"
+    path.write_text(run_cli(capsys, "build", "minority", "-n", "4")[1])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for argv in (["build", "minority", "-n", "8"], ["verify", "arcs", "--input", str(path)]):
+        with open("/dev/full", "w") as full:
+            run = subprocess.run([sys.executable, "-m", "zfcubes.cli", *argv],
+                                 env=dict(os.environ, PYTHONPATH=src), stdout=full,
+                                 stderr=subprocess.PIPE, text=True, timeout=60)
+        lines = run.stderr.splitlines()
+        assert run.returncode == 2, run.stderr
+        assert lines[0] == "error: [Errno 28] No space left on device", argv
+        manifest = json.loads(lines[-1])
+        assert (manifest["outcome"], manifest["error_type"]) == ("error", "OSError")
+
+
+def test_a_closed_stderr_loses_only_the_manifest(capsys, tmp_path):
+    forcing, stalling = tmp_path / "m4.json", tmp_path / "stall.json"
+    forcing.write_text(run_cli(capsys, "build", "minority", "-n", "4")[1])
+    doc = json.loads(run_cli(capsys, "build", "hypercube", "-n", "2")[1])
+    doc["arcs"] = [["00", "01"], ["11", "10"]]  # valid paths whose execution stalls
+    stalling.write_text(json.dumps(doc))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for argv, expected in ((["build", "minority", "-n", "3"], 0),
+                           (["verify", "set", "--input", str(tmp_path / "missing")], 2),
+                           (["verify", "arcs", "--input", str(forcing)], 0),
+                           (["verify", "arcs", "--input", str(stalling)], 1)):
+        command = [sys.executable, "-m", "zfcubes.cli", *argv]
+        env = dict(os.environ, PYTHONPATH=src)
+        open_run = subprocess.run(command, env=env, capture_output=True, timeout=60)
+        # the shell starts the interpreter with fd 2 closed
+        closed_run = subprocess.run(["sh", "-c", '"$@" 2>&-', "sh", *command], env=env,
+                                    stdout=subprocess.PIPE, timeout=60)
+        assert open_run.returncode == closed_run.returncode == expected, argv
+        assert closed_run.stdout == open_run.stdout, argv
+
+
+def test_a_missing_stderr_leaves_stdout_the_payload(capsys, monkeypatch, tmp_path):
+    expected = run_cli(capsys, "build", "minority", "-n", "3")[1]
+    monkeypatch.setattr("sys.stderr", None)
+    assert main(["build", "minority", "-n", "3"]) == 0
+    assert capsys.readouterr().out == expected
+    assert main(["verify", "set", "--input", str(tmp_path / "missing")]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_verify_arcs_reports_a_loop_arc_once(capsys, tmp_path):
     path = tmp_path / "loop.json"
     path.write_text('{"vertices":["0","1"],"edges":[["0","1"]],"arcs":[["1","1"]]}')

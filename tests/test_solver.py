@@ -492,6 +492,16 @@ def test_deadline_ignores_the_wall_clock(monkeypatch):
         assert solve_exact(build_hypercube(4), budget_secs=60, prune=prune).z == 8
 
 
+def test_a_stopped_wavefront_counts_only_the_states_it_evaluated(monkeypatch):
+    # a clock that expires at its first read, which comes before the 512th
+    # successor state; that state is neither closed nor counted
+    clock = itertools.count()
+    monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: next(clock)))
+    result = solve_exact(build_minority_cube(5).graph, budget_secs=0.5)
+    assert result.status == "inconclusive"
+    assert result.subsets_tested == 511 == result.wavefront_closures + result.memo_hits
+
+
 def test_lower_bound_is_at_least_the_minimum_degree():
     graphs = [build_hypercube(3), build_hypercube(4), build_minority_cube(4).graph,
               build_twisted(TwistSpec.random(5, random.Random(9)))]
