@@ -13,6 +13,14 @@ vertex set is the zero forcing number. A cheapest path costs exactly Z: its
 added vertices form a forcing set, and replaying the forces of a minimum
 forcing set in order gives a path that costs no more.
 
+Two stops end the search as soon as Z is proven. A successor of the bucket
+of cost c that is the full set at cost c + 1 ends it at once: every state of
+cost at most c was checked and is not full, so no path is cheaper. And
+``solve_exact`` already holds a checked forcing set of some size u, the
+copy-0 half of a twisted cube or else all n vertices, so it runs the
+wavefront only up to cost u - 1. If those buckets drain without the full
+set, no set of fewer than u vertices forces, and Z = u.
+
 The certificate mode (``prune=False``) enumerates the candidate sets of
 each size in one lexicographic pass over vertex ids, from the empty prefix,
 and decides every one, so every smaller size is literally exhausted. The
@@ -81,7 +89,7 @@ from .errors import ResourceLimitError
 from .forcing import is_zero_forcing_set
 from .graphs import Graph
 
-# On 2 vCPUs with Python 3.11.7, Q5 (32 vertices) solved in 1.6-1.8 s, and
+# On 2 vCPUs with Python 3.11.7, Q5 (32 vertices) solved in 1.0-1.3 s, and
 # minority-6 (64) stayed inconclusive past 30 s.
 DEFAULT_VERTEX_LIMIT = 32
 # Every solve refuses more, before its V^2/8-byte masks; at the limit,
@@ -168,6 +176,9 @@ def _wavefront(masks, full: int, start: int, limit: int, deadline: Optional[floa
     """Cheapest cost, at most ``limit``, of a path from the closed mask
     ``start`` to the full mask.
 
+    It returns as soon as a successor of the bucket of cost c is the full
+    mask at cost c + 1, since no state of cost at most c is full.
+
     Returns (z or None, lower, upper, successors, closures). Without z,
     ``lower`` is proven: every state cheaper than it was expanded, or the
     buckets up to ``limit`` ran dry, and then it is ``limit + 1``. ``upper``
@@ -217,6 +228,9 @@ def _wavefront(masks, full: int, start: int, limit: int, deadline: Optional[floa
                     succ = memo[pre] = _close_from(masks, pre, seeds, full)
                     closures += 1
                 if succ == full:
+                    if reach == cost + 1:
+                        # no state of cost at most ``cost`` is full
+                        return reach, reach, reach, tested, closures
                     # no state at or past this cost can beat the path found
                     limit = reach
                 elif reach == limit:
@@ -300,7 +314,8 @@ def _search_level(masks, full: int, k: int, degree: int,
     into next vertices up to its highest r-trigger (module docstring); the
     subsets past it are counted with one binomial. A leaf is checked
     against ``cap`` before its closure, and every other count once, before
-    its prefix is left, where ``deadline`` is read too.
+    its prefix is left. ``deadline`` is read there too, but not as the empty
+    prefix is left: that ends the level, which is then counted in full.
 
     The default engine's witness level passes ``stats``, a dict of counters.
     Then a nonempty prefix with r >= 2 slots left whose first next vertex
@@ -370,10 +385,10 @@ def _search_level(masks, full: int, k: int, degree: int,
                 tested += math.comb(n - 1 - ends[d], slots)
             if cap is not None and tested > cap:
                 return None, cap, True
-            if deadline is not None and time.monotonic() > deadline:
-                return None, tested, True
             if d == 0:
                 return None, tested, False
+            if deadline is not None and time.monotonic() > deadline:
+                return None, tested, True
             x = chosen[d] + 1
             d -= 1
             # a subtree of a nonempty prefix failed: check the prefix before
@@ -406,10 +421,14 @@ def solve_exact(graph: Graph, *, max_k: Optional[int] = None,
                 prune: bool = True) -> SolveResult:
     """Exact zero forcing number with a certificate.
 
-    The default engine is the wavefront over closed sets (module docstring).
-    Once it has found z, one enumeration level at size z returns the
-    lexicographically least witness; it skips the prefixes that a wavefront
-    from their closure shows cannot be completed.
+    The default engine is the wavefront over closed sets (module docstring),
+    run up to cost u - 1, where u is the size of the copy-0 half that
+    ``upper_bound`` checks, or n when it refuses the graph. If those
+    buckets drain and u is at most ``max_k``, z is u: no smaller set
+    forces, and one of size u does. Once the wavefront has found z, one
+    enumeration level at size z returns the lexicographically least
+    witness; it skips the prefixes that a wavefront from their closure
+    shows cannot be completed.
 
     With ``prune=False`` sizes are tried from max(1, minimum degree) upward
     and every subset of every failing size is decided, giving a literal
@@ -432,12 +451,13 @@ def solve_exact(graph: Graph, *, max_k: Optional[int] = None,
     measured on the monotonic clock and read before every 512th successor
     state of each wavefront run, a feasibility check's included, so a
     stopped run counts only the states it evaluated, and in the enumeration
-    as each prefix is left, the empty one included. Exhausting
-    every size up to ``max_k`` gives the lower bound max_k + 1. When a
-    budget stops the wavefront in the bucket of cost c, every cheaper state
-    was expanded and none of cost c is full, so the lower bound is c + 1; in
-    the certificate mode it is the size being enumerated. No lower bound is
-    below max(1, minimum degree). A budget that stops the witness level,
+    as each nonempty prefix is left, so a size counted in full is ruled
+    out whatever the clock says. Exhausting every size up to ``max_k``
+    gives the lower bound max_k + 1. When a budget stops the wavefront in
+    the bucket of cost c, every cheaper state was expanded and none of cost
+    c is full, so the lower bound is c + 1; in the certificate mode it is
+    the size being enumerated. No lower bound is below max(1, minimum
+    degree). A budget that stops the witness level,
     inside a feasibility check too, leaves bounds (z, z) and no witness. A
     negative ``max_k`` or ``budget_subsets``, or a ``budget_secs`` that is
     negative or not finite, raises ``ValueError``. Past ``VERTEX_LIMIT``
@@ -492,9 +512,11 @@ def solve_exact(graph: Graph, *, max_k: Optional[int] = None,
     degree = max(map(int.bit_count, masks))
     if prune:
         z, low, high, tested_total, closures = _wavefront(
-            masks, full, 0, min(k_stop, upper), deadline, budget_subsets)
+            masks, full, 0, min(k_stop, upper - 1), deadline, budget_subsets)
         stats["wavefront_closures"] = closures
         stats["memo_hits"] = tested_total - closures
+        if z is None and low == upper <= k_stop:
+            z = upper  # nothing smaller forces, and a set of size upper does
         if z is None:
             if high is not None:
                 upper = min(upper, high)

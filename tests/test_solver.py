@@ -205,6 +205,41 @@ def test_default_engine_solves_random_twisted_five_cubes():
     assert time.monotonic() - started < 5.0
 
 
+def test_the_wavefront_stops_below_the_checked_half(monkeypatch):
+    # Q4's half forces, so the wavefront runs to cost 7 and no further: a
+    # bucket at its limit is not expanded, and once buckets 0 to 7 are
+    # drained, z is the half's size, 8
+    limits = []
+    wavefront = solver._wavefront
+    monkeypatch.setattr(solver, "_wavefront",
+                        lambda *args: limits.append(args[3]) or wavefront(*args))
+    result = solve_exact(build_hypercube(4))
+    assert (result.z, result.status, limits) == (8, "exact", [7])
+    assert result.wavefront_closures + result.memo_hits == 656
+
+
+def test_the_wavefront_returns_on_a_full_successor_of_the_least_cost():
+    # minority-4 reaches the full set from bucket 6 at cost 7, and its
+    # wavefront returns on that successor, not at the end of the bucket
+    result = solve_exact(build_minority_cube(4).graph)
+    assert (result.z, result.status) == (7, "exact")
+    assert result.wavefront_closures + result.memo_hits == 201
+
+
+def test_a_proof_by_the_checked_half_keeps_the_certificate_witness():
+    # Z equals the half's size on Q1-Q4, and n on an edgeless graph, where
+    # upper_bound refuses the graph. The wavefront drains every bucket below
+    # z, evaluates no state of cost z, and the witness is the certificate's.
+    for g in [build_hypercube(n) for n in range(1, 5)] + [Graph(range(4), [])]:
+        fast, plain = solve_exact(g), solve_exact(g, prune=False)
+        assert (fast.z, fast.witness, fast.status) == (plain.z, plain.witness, "exact")
+        assert fast.z == (len(g) // 2 if g.dimension else len(g))
+        below = solver._wavefront(g.neighbor_masks, (1 << len(g)) - 1, 0, fast.z - 1,
+                                  None, None)
+        assert below[:3] == (None, fast.z, None)
+        assert fast.wavefront_closures + fast.memo_hits == below[3]
+
+
 def test_wavefront_from_closed_starts_matches_brute_force():
     # From closure(P), the cheapest path costs the fewest vertices R that make
     # P | R force. The witness level's feasibility check rests on this.
@@ -463,17 +498,21 @@ def test_deadline_is_read_in_interior_bulk_counts():
         assert solver._search_level(masks, full, k, 8, None, math.comb(9, k)) == (
             None, math.comb(9, k), False)
     # K8 alone: the empty prefix has no k-trigger, so all C(8, k) subsets are
-    # one count at level 0, and the deadline is read only after it
+    # one count at level 0, which finishes the level before any deadline read
     k8 = complete_graph(8)
     for k in range(3, 7):
         assert solver._search_level(k8.neighbor_masks, (1 << 8) - 1, k, 7, past, None) == (
-            None, math.comb(8, k), True)
+            None, math.comb(8, k), False)
     # at size 1 the leaves of the empty prefix are the level; C5 has no
-    # trigger, so all five are counted and the deadline is read after them
+    # trigger, so all five are counted and the level is done
     c5 = cycle_graph(5)
     assert solver._search_level(c5.neighbor_masks, (1 << 5) - 1, 1, 2, past, None) == (
-        None, 5, True)
+        None, 5, False)
     assert solve_exact(g, prune=False).z == 7
+    # size 1 is counted in full, so an expired deadline stops size 2 and
+    # size 1 stays ruled out
+    result = solve_exact(g, budget_secs=0.0, prune=False)
+    assert (result.status, result.bounds) == ("inconclusive", (2, 9))
 
 
 @pytest.mark.parametrize("kwargs", [
